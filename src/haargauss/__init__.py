@@ -57,13 +57,10 @@ from .moments import (
 )
 from .numerics import (
     RngStream,
-    SymmetricEigen,
     cholesky_logdet,
-    gaussian,
     ks_statistic,
     log_gamma,
     normal_cdf,
-    symmetric_eigen,
 )
 from .parallel import replicate_map, thread_count
 from .sampling import (
@@ -73,7 +70,6 @@ from .sampling import (
     dump_matrix_csv,
     gram_schmidt_coupling,
     load_matrix_csv,
-    sample_chi_square,
     sample_coupled_pair,
     sample_gaussian_matrix,
     sample_haar_submatrix,

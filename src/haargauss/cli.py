@@ -13,16 +13,18 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
 from . import moments
 from .density import UnsupportedRegimeError
 from .distances import estimate_hellinger, estimate_kl, estimate_tv
-from .limits import clt_figure_grid, clt_w_statistic, run_hs_experiment
+from .limits import FIGURE_GRID, clt_figure_grid, clt_w_statistic, run_hs_experiment
 from .moments import MonomialPattern
 from .numerics import RngStream, ks_statistic, normal_cdf
 from .parallel import replicate_map, thread_count
@@ -45,8 +47,11 @@ from .sampling import (
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run", "main"]
 
-COMMANDS = ("sample", "moments", "distance", "coupling", "clt", "verify")
 DEFAULT_REPLICATES = 10_000
+DISTANCE_KINDS = ("tv", "kl", "hellinger", "all")
+SAMPLE_KINDS = ("gaussian", "haar", "coupled")
+# random streams are keyed by an unsigned 64-bit seed
+SEED_LIMIT = 2**64
 
 
 class ConfigError(ValueError):
@@ -67,18 +72,32 @@ class ExperimentConfig:
     figure_grid: bool = False
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "grid": [{"n": d.n, "p": d.p, "q": d.q} for d in self.grid],
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "threads": thread_count(self.threads),
-            "output_dir": str(self.output_dir),
-            "format": self.format,
-            "kind": self.kind,
-            "sample_kind": self.sample_kind,
-            "figure_grid": self.figure_grid,
-        }
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        echo["grid"] = [{"n": d.n, "p": d.p, "q": d.q} for d in self.grid]
+        echo["threads"] = thread_count(self.threads)
+        echo["output_dir"] = str(self.output_dir)
+        return echo
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help text, the header of its result file, the
+    function that runs it and returns the result records, and its own flags.
+
+    A command that ``needs_grid`` takes its points from --n/--p/--q or the
+    config grid; with ``pq_grid`` a point may omit n (it defaults to
+    max(p, q)) and --figure-grid stands in for the grid.
+    """
+
+    help: str
+    header: tuple[str, ...]
+    rows: Callable[[ExperimentConfig, Path, TextIO], list[ResultRecord]]
+    flags: dict = field(default_factory=dict)
+    needs_grid: bool = True
+    pq_grid: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,30 +107,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "orthogonal-matrix corners.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, helptext in (
-        ("sample", "draw and dump matrices"),
-        ("moments", "print exact closed-form moments"),
-        ("distance", "Monte Carlo distance estimates"),
-        ("coupling", "coupled Hilbert-Schmidt experiments"),
-        ("clt", "Gram-overlap CLT experiments"),
-        ("verify", "run the exact-identity suite"),
-    ):
-        p = sub.add_parser(name, help=helptext)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--p", type=int, default=None)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--replicates", "-N", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--output-dir", type=Path, default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        if name == "distance":
-            p.add_argument("--kind", choices=("tv", "kl", "hellinger", "all"), default=None)
-        if name == "sample":
-            p.add_argument("--kind", choices=("gaussian", "haar", "coupled"), default=None)
-        if name == "clt":
-            p.add_argument("--figure-grid", action="store_true", default=None)
+        for flag, options in command.flags.items():
+            p.add_argument(flag, default=None, **options)
     return parser
 
 
@@ -120,28 +128,58 @@ def _load_config_file(path: Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return payload
 
 
-def _grid_from_payload(raw, command: str) -> list[Dims]:
+def _strict_int(name: str, value) -> int:
+    """An integer from JSON: an int or an integral float, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _dims(n: int, p: int, q: int) -> Dims:
+    try:
+        return Dims(n=n, p=p, q=q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _grid_from_payload(raw: list, command: Command) -> list[Dims]:
     grid = []
     for item in raw:
         if not isinstance(item, dict):
             raise ConfigError(f"grid entries must be objects, got {item!r}")
-        p = item.get("p")
-        q = item.get("q")
-        n = item.get("n", max(p or 0, q or 0) if command == "clt" else None)
-        if n is None or p is None or q is None:
+        if "p" not in item or "q" not in item or ("n" not in item and not command.pq_grid):
             raise ConfigError(f"grid entry needs n, p and q, got {item!r}")
-        try:
-            grid.append(Dims(n=int(n), p=int(p), q=int(q)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        p = _strict_int("grid entry p", item["p"])
+        q = _strict_int("grid entry q", item["q"])
+        n = _strict_int("grid entry n", item["n"]) if "n" in item else max(p, q)
+        grid.append(_dims(n, p, q))
     return grid
+
+
+def _field_value(name: str, value, command: Command):
+    """Config field ``name`` from its JSON value, checked against the
+    field's annotated type."""
+    kind = _FIELD_TYPES[name]
+    if kind in (int, int | None):
+        return None if value is None and kind != int else _strict_int(f"config key {name!r}", value)
+    if kind is bool and isinstance(value, bool):
+        return value
+    if kind in (str, Path) and isinstance(value, str):
+        return kind(value)
+    if kind == list[Dims] and isinstance(value, list):
+        return _grid_from_payload(value, command)
+    raise ConfigError(
+        f"config key {name!r} must hold a JSON {getattr(kind, '__name__', kind)}, got {value!r}"
+    )
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
@@ -154,101 +192,63 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         raise ConfigError("invalid command line") from exc
     if args.command is None:
         raise ConfigError(f"missing command; choose one of {', '.join(COMMANDS)}")
+    command = COMMANDS[args.command]
 
     payload = _load_config_file(args.config) if args.config else {}
-    unknown = set(payload) - {
-        "command",
-        "grid",
-        "replicates",
-        "master_seed",
-        "threads",
-        "output_dir",
-        "format",
-        "kind",
-        "sample_kind",
-        "figure_grid",
-    }
+    unknown = set(payload) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if payload.get("command") not in (None, args.command):
+    if payload.get("command", args.command) != args.command:
         raise ConfigError(
             f"config file says command {payload['command']!r} but the command "
             f"line says {args.command!r}"
         )
 
     config = ExperimentConfig(command=args.command)
-    if "replicates" in payload:
-        config.replicates = int(payload["replicates"])
-    if "master_seed" in payload:
-        config.master_seed = int(payload["master_seed"])
-    if "threads" in payload and payload["threads"] is not None:
-        config.threads = int(payload["threads"])
-    if "output_dir" in payload:
-        config.output_dir = Path(payload["output_dir"])
-    if "format" in payload:
-        config.format = str(payload["format"])
-    if "kind" in payload:
-        config.kind = str(payload["kind"])
-    if "sample_kind" in payload:
-        config.sample_kind = str(payload["sample_kind"])
-    if "figure_grid" in payload:
-        config.figure_grid = bool(payload["figure_grid"])
-    if "grid" in payload:
-        config.grid = _grid_from_payload(payload["grid"], args.command)
+    for f in fields(config):
+        if f.name in payload:
+            setattr(config, f.name, _field_value(f.name, payload[f.name], command))
+        flag = getattr(args, f.name, None)
+        if flag is not None:
+            setattr(config, f.name, flag)
 
-    if args.replicates is not None:
-        config.replicates = args.replicates
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.threads is not None:
-        config.threads = args.threads
-    if args.output_dir is not None:
-        config.output_dir = args.output_dir
-    if args.format is not None:
-        config.format = args.format
-    if getattr(args, "figure_grid", None):
-        config.figure_grid = True
-    if getattr(args, "kind", None) is not None:
-        if args.command == "sample":
-            config.sample_kind = args.kind
-        else:
-            config.kind = args.kind
-
-    flag_dims = (args.n, args.p, args.q)
-    if any(v is not None for v in flag_dims):
+    if any(v is not None for v in (args.n, args.p, args.q)):
         if args.p is None or args.q is None:
             raise ConfigError("--p and --q must be given together")
-        n = args.n if args.n is not None else (max(args.p, args.q) if args.command == "clt" else None)
-        if n is None:
+        if args.n is None and not command.pq_grid:
             raise ConfigError("--n is required for this command")
-        try:
-            config.grid = [Dims(n=n, p=args.p, q=args.q)]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        n = args.n if args.n is not None else max(args.p, args.q)
+        config.grid = [_dims(n, args.p, args.q)]
 
-    _validate(config)
+    _validate(config, command)
     return config
 
 
-def _validate(config: ExperimentConfig) -> None:
-    if config.command not in COMMANDS:
-        raise ConfigError(f"unknown command {config.command!r}")
-    if config.replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {config.replicates}")
-    if config.master_seed < 0:
-        raise ConfigError(f"master seed must be >= 0, got {config.master_seed}")
-    if config.threads is not None and config.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {config.threads}")
+def _validate(config: ExperimentConfig, command: Command) -> None:
+    if config.replicates < 2:
+        raise ConfigError(f"replicates must be >= 2, got {config.replicates}")
+    figure_grid = command.pq_grid and config.figure_grid
+    # the figure grid seeds its points master_seed + 0, 1, ..., len - 1
+    seed_limit = SEED_LIMIT - (len(FIGURE_GRID) - 1 if figure_grid else 0)
+    if not 0 <= config.master_seed < seed_limit:
+        raise ConfigError(f"master seed must be in [0, {seed_limit}), got {config.master_seed}")
+    try:
+        thread_count(config.threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if config.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {config.format!r}")
-    needs_grid = config.command in ("sample", "moments", "distance", "coupling") or (
-        config.command == "clt" and not config.figure_grid
-    )
-    if needs_grid and not config.grid:
+    if config.kind not in DISTANCE_KINDS:
+        raise ConfigError(f"kind must be one of {', '.join(DISTANCE_KINDS)}, got {config.kind!r}")
+    if config.sample_kind not in SAMPLE_KINDS:
+        raise ConfigError(
+            f"sample kind must be one of {', '.join(SAMPLE_KINDS)}, got {config.sample_kind!r}"
+        )
+    if command.needs_grid and not config.grid and not figure_grid:
         raise ConfigError(f"command {config.command!r} needs --n/--p/--q or a config grid")
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"output directory {config.output_dir} is not writable: {exc}") from exc
 
 
@@ -263,7 +263,7 @@ class ResultRecord:
     status: str = "ok"
 
 
-def _write_results(run_dir: Path, config: ExperimentConfig, header: list[str], records: list[ResultRecord]) -> None:
+def _write_results(run_dir: Path, config: ExperimentConfig, header: tuple[str, ...], records: list[ResultRecord]) -> None:
     if config.format == "csv":
         write_csv(run_dir / "results.csv", header, [[rec.row.get(h) for h in header] for rec in records])
     else:
@@ -279,26 +279,33 @@ def _write_results(run_dir: Path, config: ExperimentConfig, header: list[str], r
         write_json(run_dir / "artifacts.json", artifacts)
 
 
-def _cmd_sample(config: ExperimentConfig, run_dir: Path) -> list[ResultRecord]:
+def _histogram_artifacts(
+    run_dir: Path, stem: str, samples: np.ndarray, overlay: Overlay | None, **bounds
+) -> list[str]:
+    """Histogram of ``samples`` written as ``<stem>.csv`` and ``<stem>.svg``;
+    returns the two file names."""
+    hist = histogram_with_overflow(samples, **bounds)
+    return [
+        write_histogram_csv(hist, run_dir / f"{stem}.csv").name,
+        emit_svg_histogram(hist, overlay, run_dir / f"{stem}.svg").name,
+    ]
+
+
+def _cmd_sample(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
     records = []
     for g_index, d in enumerate(config.grid):
         start = time.perf_counter()
         stream = RngStream(config.master_seed, g_index)
-        artifacts = []
-        if config.sample_kind == "gaussian":
-            m = sample_gaussian_matrix(d.p, d.q, stream)
-            artifacts.append(dump_matrix_csv(m, run_dir / f"gaussian-{g_index}.csv").name)
-        elif config.sample_kind == "haar":
-            m = sample_haar_submatrix(d, stream)
-            artifacts.append(dump_matrix_csv(m, run_dir / f"haar-{g_index}.csv").name)
-        elif config.sample_kind == "coupled":
+        if config.sample_kind == "coupled":
             pair = sample_coupled_pair(d, stream)
-            artifacts.append(dump_matrix_csv(pair.y_block, run_dir / f"coupled-y-{g_index}.csv").name)
-            artifacts.append(
-                dump_matrix_csv(pair.gamma_block, run_dir / f"coupled-gamma-{g_index}.csv").name
-            )
+            blocks = {"coupled-y": pair.y_block, "coupled-gamma": pair.gamma_block}
+        elif config.sample_kind == "haar":
+            blocks = {"haar": sample_haar_submatrix(d, stream)}
         else:
-            raise ConfigError(f"unknown sample kind {config.sample_kind!r}")
+            blocks = {"gaussian": sample_gaussian_matrix(d.p, d.q, stream)}
+        artifacts = [
+            dump_matrix_csv(m, run_dir / f"{stem}-{g_index}.csv").name for stem, m in blocks.items()
+        ]
         elapsed = (time.perf_counter() - start) * 1000.0
         records.append(
             ResultRecord(
@@ -314,7 +321,6 @@ def _cmd_sample(config: ExperimentConfig, run_dir: Path) -> list[ResultRecord]:
                 artifacts=artifacts,
             )
         )
-    _write_results(run_dir, config, ["n", "p", "q", "kind", "seed", "artifacts"], records)
     return records
 
 
@@ -337,12 +343,15 @@ def _moment_rows(d: Dims) -> list[tuple[str, Fraction]]:
     return rows
 
 
-def _cmd_moments(config: ExperimentConfig, run_dir: Path, out) -> list[ResultRecord]:
+def _cmd_moments(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
     records = []
     for d in config.grid:
         start = time.perf_counter()
         for name, value in _moment_rows(d):
-            decimal = f"{float(value):.17g}"
+            try:
+                decimal = f"{float(value):.17g}"
+            except OverflowError:  # exact rationals can exceed the float range
+                decimal = "inf" if value > 0 else "-inf"
             print(
                 f"n={d.n} p={d.p} q={d.q} {name} = "
                 f"{value.numerator}/{value.denominator} = {decimal}",
@@ -363,22 +372,13 @@ def _cmd_moments(config: ExperimentConfig, run_dir: Path, out) -> list[ResultRec
                 )
             )
         records[-1].elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _write_results(
-        run_dir,
-        config,
-        ["n", "p", "q", "quantity", "numerator", "denominator", "decimal"],
-        records,
-    )
     return records
 
 
-def _cmd_distance(config: ExperimentConfig, run_dir: Path) -> list[ResultRecord]:
-    kinds = ("tv", "kl", "hellinger") if config.kind == "all" else (config.kind,)
-    estimators = {
-        "tv": estimate_tv,
-        "kl": estimate_kl,
-        "hellinger": estimate_hellinger,
-    }
+def _cmd_distance(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
+    kinds = DISTANCE_KINDS[:-1] if config.kind == "all" else (config.kind,)
+    # looked up at call time, so the module names stay patchable
+    estimators = {"tv": estimate_tv, "kl": estimate_kl, "hellinger": estimate_hellinger}
     records = []
     for d in config.grid:
         for kind in kinds:
@@ -394,7 +394,6 @@ def _cmd_distance(config: ExperimentConfig, run_dir: Path) -> list[ResultRecord]
                 "std_error": None,
                 "status": "ok",
             }
-            status = "ok"
             try:
                 est = estimators[kind](
                     d, config.replicates, config.master_seed, threads=config.threads
@@ -402,36 +401,25 @@ def _cmd_distance(config: ExperimentConfig, run_dir: Path) -> list[ResultRecord]
                 row["mean"] = est.mean
                 row["std_error"] = est.std_error
             except UnsupportedRegimeError:
-                status = "UNSUPPORTED_REGIME"
-                row["status"] = status
+                row["status"] = "UNSUPPORTED_REGIME"
             elapsed = (time.perf_counter() - start) * 1000.0
-            records.append(ResultRecord(row=row, elapsed_ms=elapsed, status=status))
-    _write_results(
-        run_dir,
-        config,
-        ["n", "p", "q", "kind", "N", "seed", "mean", "std_error", "status"],
-        records,
-    )
+            records.append(ResultRecord(row=row, elapsed_ms=elapsed, status=row["status"]))
     return records
 
 
-def _cmd_coupling(config: ExperimentConfig, run_dir: Path) -> list[ResultRecord]:
+def _cmd_coupling(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
     records = []
     for g_index, d in enumerate(config.grid):
         start = time.perf_counter()
         result = run_hs_experiment(d, config.replicates, config.master_seed, threads=config.threads)
-        artifacts = []
         if d.q == 1:
             scale = math.sqrt(d.p / d.n / 2.0)
-            hist = histogram_with_overflow(result.hs_norms, lo=0.0, hi=4.0 * scale)
-            overlay = Overlay("half_normal", scale)
+            hi, overlay = 4.0 * scale, Overlay("half_normal", scale)
         else:
-            hi = float(result.hs_norms.max()) * 1.02 + 1e-9
-            hist = histogram_with_overflow(result.hs_norms, lo=0.0, hi=hi)
-            overlay = None
-        stem = f"coupling-hs-{g_index}"
-        artifacts.append(write_histogram_csv(hist, run_dir / f"{stem}.csv").name)
-        artifacts.append(emit_svg_histogram(hist, overlay, run_dir / f"{stem}.svg").name)
+            hi, overlay = float(result.hs_norms.max()) * 1.02 + 1e-9, None
+        artifacts = _histogram_artifacts(
+            run_dir, f"coupling-hs-{g_index}", result.hs_norms, overlay, lo=0.0, hi=hi
+        )
         elapsed = (time.perf_counter() - start) * 1000.0
         records.append(
             ResultRecord(
@@ -452,92 +440,51 @@ def _cmd_coupling(config: ExperimentConfig, run_dir: Path) -> list[ResultRecord]
                 artifacts=artifacts,
             )
         )
-    _write_results(
-        run_dir,
-        config,
-        [
-            "n",
-            "p",
-            "q",
-            "N",
-            "seed",
-            "mean_hs",
-            "mean_hs_sq",
-            "hs_sq_bound",
-            "sigma",
-            "ks_half_normal",
-            "status",
-        ],
-        records,
-    )
     return records
 
 
-def _cmd_clt(config: ExperimentConfig, run_dir: Path) -> list[ResultRecord]:
+def _clt_record(
+    config: ExperimentConfig, run_dir: Path, stem: str, p: int, q: int, samples: np.ndarray, ks: float
+) -> ResultRecord:
+    return ResultRecord(
+        row={
+            "p": p,
+            "q": q,
+            "N": samples.size,
+            "seed": config.master_seed,
+            "mean_w": float(np.mean(samples)),
+            "var_w": float(np.var(samples, ddof=1)),
+            "ks_normal": ks,
+        },
+        elapsed_ms=0.0,
+        artifacts=_histogram_artifacts(run_dir, stem, samples, Overlay("normal")),
+    )
+
+
+def _cmd_clt(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
     records = []
     if config.figure_grid:
         start = time.perf_counter()
         points = clt_figure_grid(config.master_seed, threads=config.threads)
         per_point = (time.perf_counter() - start) * 1000.0 / len(points)
         for point in points:
-            hist = histogram_with_overflow(point.w_samples)
             stem = f"clt-hist-p{point.p}-q{point.q}"
-            artifacts = [
-                write_histogram_csv(hist, run_dir / f"{stem}.csv").name,
-                emit_svg_histogram(hist, Overlay("normal"), run_dir / f"{stem}.svg").name,
-            ]
-            records.append(
-                ResultRecord(
-                    row={
-                        "p": point.p,
-                        "q": point.q,
-                        "N": point.replicates,
-                        "seed": config.master_seed,
-                        "mean_w": float(np.mean(point.w_samples)),
-                        "var_w": float(np.var(point.w_samples, ddof=1)),
-                        "ks_normal": point.ks_normal,
-                    },
-                    elapsed_ms=per_point,
-                    artifacts=artifacts,
-                )
-            )
-    else:
-        for g_index, d in enumerate(config.grid):
-            start = time.perf_counter()
-            samples = replicate_map(
-                lambda stream, _: clt_w_statistic(d.p, d.q, stream).w,
-                config.replicates,
-                config.master_seed,
-                threads=config.threads,
-            )
-            hist = histogram_with_overflow(samples)
-            stem = f"clt-hist-{g_index}"
-            artifacts = [
-                write_histogram_csv(hist, run_dir / f"{stem}.csv").name,
-                emit_svg_histogram(hist, Overlay("normal"), run_dir / f"{stem}.svg").name,
-            ]
-            elapsed = (time.perf_counter() - start) * 1000.0
-            records.append(
-                ResultRecord(
-                    row={
-                        "p": d.p,
-                        "q": d.q,
-                        "N": config.replicates,
-                        "seed": config.master_seed,
-                        "mean_w": float(np.mean(samples)),
-                        "var_w": float(np.var(samples, ddof=1)),
-                        "ks_normal": ks_statistic(samples, normal_cdf),
-                    },
-                    elapsed_ms=elapsed,
-                    artifacts=artifacts,
-                )
-            )
-    _write_results(
-        run_dir,
-        config,
-        ["p", "q", "N", "seed", "mean_w", "var_w", "ks_normal"],
-        records,
-    )
+            record = _clt_record(config, run_dir, stem, point.p, point.q, point.w_samples, point.ks_normal)
+            record.elapsed_ms = per_point
+            records.append(record)
+        return records
+    for g_index, d in enumerate(config.grid):
+        start = time.perf_counter()
+        samples = replicate_map(
+            lambda stream, _: clt_w_statistic(d.p, d.q, stream).w,
+            config.replicates,
+            config.master_seed,
+            threads=config.threads,
+        )
+        ks = ks_statistic(samples, normal_cdf)
+        record = _clt_record(config, run_dir, f"clt-hist-{g_index}", d.p, d.q, samples, ks)
+        record.elapsed_ms = (time.perf_counter() - start) * 1000.0
+        records.append(record)
     return records
 
 
@@ -609,9 +556,8 @@ def _verify_checks() -> list[tuple[str, int, bool]]:
     return checks
 
 
-def _cmd_verify(config: ExperimentConfig, run_dir: Path, out) -> tuple[list[ResultRecord], int]:
+def _cmd_verify(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
     records = []
-    all_ok = True
     for name, cases, ok in _verify_checks():
         status = "pass" if ok else "FAIL"
         print(f"[verify] {name} ({cases} cases): {status}", file=out)
@@ -622,45 +568,69 @@ def _cmd_verify(config: ExperimentConfig, run_dir: Path, out) -> tuple[list[Resu
                 status=status,
             )
         )
-        all_ok = all_ok and ok
-    _write_results(run_dir, config, ["check", "cases", "status"], records)
-    return records, 0 if all_ok else 1
+    return records
+
+
+COMMANDS: dict[str, Command] = {
+    "sample": Command(
+        "draw and dump matrices",
+        ("n", "p", "q", "kind", "seed", "artifacts"),
+        _cmd_sample,
+        flags={"--kind": {"choices": SAMPLE_KINDS, "dest": "sample_kind"}},
+    ),
+    "moments": Command(
+        "print exact closed-form moments",
+        ("n", "p", "q", "quantity", "numerator", "denominator", "decimal"),
+        _cmd_moments,
+    ),
+    "distance": Command(
+        "Monte Carlo distance estimates",
+        ("n", "p", "q", "kind", "N", "seed", "mean", "std_error", "status"),
+        _cmd_distance,
+        flags={"--kind": {"choices": DISTANCE_KINDS}},
+    ),
+    "coupling": Command(
+        "coupled Hilbert-Schmidt experiments",
+        ("n", "p", "q", "N", "seed", "mean_hs", "mean_hs_sq", "hs_sq_bound", "sigma",
+         "ks_half_normal", "status"),
+        _cmd_coupling,
+    ),
+    "clt": Command(
+        "Gram-overlap CLT experiments",
+        ("p", "q", "N", "seed", "mean_w", "var_w", "ks_normal"),
+        _cmd_clt,
+        flags={"--figure-grid": {"action": "store_true"}},
+        pq_grid=True,
+    ),
+    "verify": Command(
+        "run the exact-identity suite",
+        ("check", "cases", "status"),
+        _cmd_verify,
+        needs_grid=False,
+    ),
+}
 
 
 def run(config: ExperimentConfig, out=None) -> tuple[Path, list[ResultRecord], int]:
     """Execute a parsed config; returns the run directory, the records, and
-    the exit code."""
+    the exit code: 1 when any record has status FAIL, else 0."""
     out = out if out is not None else sys.stdout
+    command = COMMANDS.get(config.command)
+    if command is None:
+        raise ConfigError(f"unknown command {config.command!r}")
     run_dir = make_run_directory(config.output_dir, config.command, config.master_seed)
     write_json(run_dir / "config.json", config.echo())
-    code = 0
-    if config.command == "sample":
-        records = _cmd_sample(config, run_dir)
-    elif config.command == "moments":
-        records = _cmd_moments(config, run_dir, out)
-    elif config.command == "distance":
-        records = _cmd_distance(config, run_dir)
-    elif config.command == "coupling":
-        records = _cmd_coupling(config, run_dir)
-    elif config.command == "clt":
-        records = _cmd_clt(config, run_dir)
-    elif config.command == "verify":
-        records, code = _cmd_verify(config, run_dir, out)
-    else:
-        raise ConfigError(f"unknown command {config.command!r}")
+    records = command.rows(config, run_dir, out)
+    _write_results(run_dir, config, command.header, records)
     print(f"[haargauss] {config.command}: {len(records)} record(s) in {run_dir}", file=out)
+    code = 1 if any(rec.status == "FAIL" for rec in records) else 0
     return run_dir, records, code
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _, _, code = run(config)
+        _, _, code = run(parse_config(argv))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

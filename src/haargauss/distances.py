@@ -12,17 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .density import (
-    NEG_INFINITY,
-    KnMode,
-    UnsupportedRegimeError,
-    log_kn_asymptotic,
-    log_kn_exact,
-    log_ln,
-)
+from .density import NEG_INFINITY, log_kn_exact, log_ln
 from .numerics import RngStream, normal_cdf
 from .parallel import replicate_map
 from .sampling import Dims, sample_haar_submatrix
@@ -74,145 +68,93 @@ class EstimateWithError:
         return math.sqrt(max(self.mean, 0.0))
 
 
-def _require_supported(d: Dims) -> None:
-    if min(d.p, d.q) + max(d.p, d.q) > d.n:
-        raise UnsupportedRegimeError(
-            f"distance estimators require p + q <= n, got p={d.p}, q={d.q}, n={d.n}"
-        )
-
-
-def _log_kn(d: Dims, mode: KnMode) -> float:
-    if mode is KnMode.EXACT:
-        return log_kn_exact(d).log_kn
-    return log_kn_asymptotic(d).log_kn
-
-
-def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(values.size))
-    return mean, se
-
-
-def estimate_tv(
+def _estimate(
     d: Dims,
     replicates: int,
     master_seed: int,
-    threads: int | None = None,
-    mode: KnMode = KnMode.EXACT,
-    assume_singular: bool = False,
+    threads: int | None,
+    kind: DistanceKind,
+    on_corner: bool,
+    term: Callable[[float], float],
 ) -> EstimateWithError:
-    """Total variation estimate: the mean of |ratio - 1| over Gaussian
-    blocks, where a block outside the corner's support has ratio 0 and
-    contributes exactly 1.
+    """Mean and standard error of ``term(log f/g)`` over replicate draws.
 
-    ``assume_singular`` disables the density path entirely (every sample
-    counts as out of support); it exists as a harness sanity mode for the
-    full-dimension case, which is otherwise rejected as unsupported.
+    The draw is a Gaussian p x q block (law g) or, with ``on_corner``, sqrt(n)
+    times a Haar corner (law f).  A Gaussian block may legally fall outside
+    the support of f and enters ``term`` with log ratio -inf; a corner sample
+    can only do so through a sampler or density defect (the event has
+    probability zero), so it aborts the run with diagnostics.  The Hellinger
+    kind reports one minus the mean, the squared distance.
     """
-    if assume_singular:
-        log_kn = None
-    else:
-        _require_supported(d)
-        log_kn = _log_kn(d, mode)
-
-    def one(stream: RngStream, _: int) -> float:
-        g = stream.standard_normal((d.p, d.q))
-        if log_kn is None:
-            return 1.0
-        log_ratio = log_kn + log_ln(g, d)
-        if log_ratio == NEG_INFINITY:
-            return 1.0
-        return float(np.abs(np.exp(np.float64(log_ratio)) - 1.0))
-
-    values = replicate_map(one, replicates, master_seed, threads=threads)
-    mean, se = _mean_and_se(values)
-    return EstimateWithError(mean, se, replicates, DistanceKind.TV, d, master_seed)
-
-
-def estimate_kl(
-    d: Dims,
-    replicates: int,
-    master_seed: int,
-    threads: int | None = None,
-    mode: KnMode = KnMode.EXACT,
-) -> EstimateWithError:
-    """Kullback-Leibler estimate: the mean log ratio over scaled corner
-    samples.
-
-    A corner sample can only leave the support through a sampler or density
-    defect (the event has probability zero), so such a sample aborts the run
-    with diagnostics instead of being skipped.
-    """
-    _require_supported(d)
-    log_kn = _log_kn(d, mode)
+    log_kn = log_kn_exact(d).log_kn
     root_n = math.sqrt(d.n)
 
     def one(stream: RngStream, index: int) -> float:
-        z = sample_haar_submatrix(d, stream)
-        log_ratio = log_kn + log_ln(root_n * z, d)
-        if log_ratio == NEG_INFINITY:
-            gram = root_n * z
-            top = float(np.max(np.abs(gram)))
+        if on_corner:
+            point = root_n * sample_haar_submatrix(d, stream)
+        else:
+            point = stream.standard_normal((d.p, d.q))
+        log_ratio = log_kn + log_ln(point, d)
+        if on_corner and log_ratio == NEG_INFINITY:
+            top = float(np.max(np.abs(point)))
             raise RuntimeError(
                 "corner sample fell outside the density support; this indicates a "
                 f"sampler or density bug (dims={d}, seed={master_seed}, "
                 f"replicate={index}, max|entry|={top:.6e})"
             )
-        return log_ratio
+        return term(log_ratio)
 
     values = replicate_map(one, replicates, master_seed, threads=threads)
-    mean, se = _mean_and_se(values)
-    return EstimateWithError(mean, se, replicates, DistanceKind.KL, d, master_seed)
+    mean = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(values.size))
+    if kind is DistanceKind.HELLINGER:
+        mean = 1.0 - mean
+    return EstimateWithError(mean, se, replicates, kind, d, master_seed)
+
+
+def estimate_tv(
+    d: Dims, replicates: int, master_seed: int, threads: int | None = None
+) -> EstimateWithError:
+    """Total variation estimate: the mean of |ratio - 1| over Gaussian
+    blocks, where a block outside the corner's support has ratio 0 and
+    contributes exactly 1."""
+    return _estimate(
+        d, replicates, master_seed, threads, DistanceKind.TV, False,
+        lambda log_ratio: float(np.abs(np.exp(np.float64(log_ratio)) - 1.0)),
+    )
+
+
+def estimate_kl(
+    d: Dims, replicates: int, master_seed: int, threads: int | None = None
+) -> EstimateWithError:
+    """Kullback-Leibler estimate: the mean log ratio over scaled corner
+    samples."""
+    return _estimate(
+        d, replicates, master_seed, threads, DistanceKind.KL, True, lambda log_ratio: log_ratio
+    )
 
 
 def estimate_hellinger(
-    d: Dims,
-    replicates: int,
-    master_seed: int,
-    threads: int | None = None,
-    mode: KnMode = KnMode.EXACT,
+    d: Dims, replicates: int, master_seed: int, threads: int | None = None
 ) -> EstimateWithError:
     """Squared Hellinger estimate: one minus the mean of exp(log ratio / 2)
     over Gaussian blocks; out-of-support samples contribute 0 to that mean."""
-    _require_supported(d)
-    log_kn = _log_kn(d, mode)
-
-    def one(stream: RngStream, _: int) -> float:
-        g = stream.standard_normal((d.p, d.q))
-        log_ratio = log_kn + log_ln(g, d)
-        if log_ratio == NEG_INFINITY:
-            return 0.0
-        return float(np.exp(np.float64(0.5 * log_ratio)))
-
-    values = replicate_map(one, replicates, master_seed, threads=threads)
-    mean, se = _mean_and_se(values)
-    return EstimateWithError(
-        1.0 - mean, se, replicates, DistanceKind.HELLINGER, d, master_seed
+    return _estimate(
+        d, replicates, master_seed, threads, DistanceKind.HELLINGER, False,
+        lambda log_ratio: float(np.exp(np.float64(0.5 * log_ratio))),
     )
 
 
 def estimate_tv_from_haar(
-    d: Dims,
-    replicates: int,
-    master_seed: int,
-    threads: int | None = None,
-    mode: KnMode = KnMode.EXACT,
+    d: Dims, replicates: int, master_seed: int, threads: int | None = None
 ) -> EstimateWithError:
     """Total variation in its corner-sample form, the mean of
     |1 - exp(-log ratio)| over scaled corner samples; agrees with
     :func:`estimate_tv` in expectation and serves as its cross-check."""
-    _require_supported(d)
-    log_kn = _log_kn(d, mode)
-    root_n = math.sqrt(d.n)
-
-    def one(stream: RngStream, _: int) -> float:
-        z = sample_haar_submatrix(d, stream)
-        log_ratio = log_kn + log_ln(root_n * z, d)
-        return float(np.abs(1.0 - np.exp(np.float64(-log_ratio))))
-
-    values = replicate_map(one, replicates, master_seed, threads=threads)
-    mean, se = _mean_and_se(values)
-    return EstimateWithError(mean, se, replicates, DistanceKind.TV, d, master_seed)
+    return _estimate(
+        d, replicates, master_seed, threads, DistanceKind.TV, True,
+        lambda log_ratio: float(np.abs(1.0 - np.exp(np.float64(-log_ratio)))),
+    )
 
 
 def tv_limit_lower_bound(sigma: float) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, ks_statistic, normal_cdf, symmetric_eigen
+from .numerics import RngStream, ks_statistic, normal_cdf
 from .parallel import replicate_map
 from .sampling import Dims, gram_schmidt_coupling
 
@@ -259,8 +259,7 @@ def eigen_concentration(
     p x q standard Gaussian matrix (columns as the vectors, q <= p).
 
     The deviations collapse when q/p is small and stay order one in the
-    square regime; the q x q eigenproblem is solved with the full Jacobi
-    sweep."""
+    square regime; the q x q eigenproblem is solved by LAPACK."""
     if q > p:
         raise ValueError(f"need q <= p, got p={p}, q={q}")
     if p < 1 or q < 1:
@@ -268,12 +267,8 @@ def eigen_concentration(
 
     def one(stream: RngStream, _: int) -> float:
         x = stream.standard_normal((p, q))
-        if q == 1:
-            lam = float(x[:, 0] @ x[:, 0])
-            return abs(lam / p - 1.0)
-        gram = x.T @ x
-        eigen = symmetric_eigen(gram)
-        return float(np.max(np.abs(eigen.eigenvalues / p - 1.0)))
+        eigenvalues = np.linalg.eigvalsh(x.T @ x)
+        return float(np.max(np.abs(eigenvalues / p - 1.0)))
 
     samples = replicate_map(one, replicates, master_seed, threads=threads)
     return EigenConcentrationResult(

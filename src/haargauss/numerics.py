@@ -1,7 +1,7 @@
 """Deterministic numerical primitives shared by the whole package.
 
-Seeded counter-based random substreams, special functions, a Jacobi
-eigensolver, a log-determinant Cholesky, and goodness-of-fit statistics.
+Seeded counter-based random substreams, special functions, a
+log-determinant Cholesky, and a goodness-of-fit statistic.
 Everything here is pure given its inputs; streams are value objects that
 can be rebuilt identically on any worker.
 """
@@ -9,19 +9,15 @@ can be rebuilt identically on any worker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "RngStream",
-    "SymmetricEigen",
-    "gaussian",
     "log_gamma",
     "normal_cdf",
     "cholesky_logdet",
-    "symmetric_eigen",
     "ks_statistic",
 ]
 
@@ -66,10 +62,6 @@ class RngStream:
             self._generator = np.random.Generator(np.random.Philox(counter=counter, key=key))
         return self._generator
 
-    def substream(self, replicate_index: int) -> "RngStream":
-        """Independent stream for another replicate of the same experiment."""
-        return RngStream(self.master_seed, replicate_index)
-
     def next_substream(self) -> "RngStream":
         """Fresh deterministic substream (counter epoch + 1) for guard paths."""
         return RngStream(self.master_seed, self.replicate_index, self.epoch + 1)
@@ -79,11 +71,6 @@ class RngStream:
 
     def standard_normal(self, shape) -> np.ndarray:
         return self.generator.standard_normal(shape)
-
-    def chi_square(self, m: int) -> float:
-        if m < 1:
-            raise ValueError(f"chi-square degrees of freedom must be >= 1, got {m}")
-        return float(self.generator.chisquare(m))
 
     def __repr__(self) -> str:
         return (
@@ -102,11 +89,6 @@ class RngStream:
 
     def __hash__(self) -> int:
         return hash((self.master_seed, self.replicate_index, self.epoch))
-
-
-def gaussian(stream: RngStream) -> float:
-    """One standard normal deviate; the stream state advances."""
-    return stream.gaussian()
 
 
 def log_gamma(x: float) -> float:
@@ -138,91 +120,6 @@ def cholesky_logdet(a: np.ndarray) -> float | None:
     if not np.all(diag > 0) or not np.all(np.isfinite(diag)):
         return None
     return float(2.0 * np.log(diag).sum())
-
-
-@dataclass(frozen=True)
-class SymmetricEigen:
-    """Eigenvalues of a symmetric matrix, sorted descending."""
-
-    eigenvalues: np.ndarray
-    rotations_applied: int
-    off_diagonal_residual: float
-
-
-def _max_offdiag(a: np.ndarray) -> float:
-    if a.shape[0] < 2:
-        return 0.0
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.max(np.abs(a[mask])))
-
-
-def symmetric_eigen(a: np.ndarray, tol: float | None = None) -> SymmetricEigen:
-    """Eigenvalues of a symmetric matrix via cyclic Jacobi sweeps.
-
-    Rotations are applied in row-cyclic order until the largest off-diagonal
-    magnitude drops below ``tol`` (default 1e-12 times the Frobenius norm).
-    Intended for the modest orders used here (a few hundred at most).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"symmetric_eigen requires a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > 1e-10 * scale:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    if tol is not None and not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-
-    n = a.shape[0]
-    m = np.array(a, dtype=float, copy=True)
-    m = 0.5 * (m + m.T)
-    fro = float(np.linalg.norm(m))
-    if tol is None:
-        tol = 1e-12 * max(fro, np.finfo(float).tiny)
-    if n == 1:
-        return SymmetricEigen(np.array([m[0, 0]]), 0, 0.0)
-
-    # off-diagonal entries below this cannot push the residual above tol
-    skip = tol / (2.0 * n)
-    rotations = 0
-    max_sweeps = 60
-    for _ in range(max_sweeps):
-        off = _max_offdiag(m)
-        if off <= tol:
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                apq = m[i, j]
-                if abs(apq) <= skip:
-                    continue
-                diff = m[j, j] - m[i, i]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_i = m[i, :].copy()
-                row_j = m[j, :].copy()
-                m[i, :] = c * row_i - s * row_j
-                m[j, :] = s * row_i + c * row_j
-                col_i = m[:, i].copy()
-                col_j = m[:, j].copy()
-                m[:, i] = c * col_i - s * col_j
-                m[:, j] = s * col_i + c * col_j
-                m[i, j] = 0.0
-                m[j, i] = 0.0
-                rotations += 1
-    residual = _max_offdiag(m)
-    if residual > tol:
-        raise RuntimeError(
-            f"Jacobi sweeps did not converge: residual {residual:.3e} > tol {tol:.3e}"
-        )
-    eigenvalues = np.sort(np.diagonal(m))[::-1].copy()
-    return SymmetricEigen(eigenvalues, rotations, residual)
 
 
 def ks_statistic(samples: Sequence[float] | np.ndarray, cdf: Callable[[float], float]) -> float:

@@ -62,17 +62,20 @@ def make_run_directory(output_dir: str | Path, command: str, master_seed: int) -
     """Fresh ``<output_dir>/<command>-<timestamp>-<seed>`` directory.
 
     Never reuses an existing directory; a same-second collision gets a
-    numeric suffix."""
+    numeric suffix.  Creating the directory is the existence test, so two
+    runs started at once cannot both claim one name."""
     base = Path(output_dir)
     base.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    candidate = base / f"{command}-{stamp}-{master_seed}"
-    suffix = 0
-    while candidate.exists():
-        suffix += 1
-        candidate = base / f"{command}-{stamp}-{master_seed}-{suffix}"
-    candidate.mkdir()
-    return candidate
+    name = f"{command}-{stamp}-{master_seed}"
+    candidate, suffix = base / name, 0
+    while True:
+        try:
+            candidate.mkdir(exist_ok=False)
+            return candidate
+        except FileExistsError:
+            suffix += 1
+            candidate = base / f"{name}-{suffix}"
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Samplers for Gaussian matrices, chi-square variates, Haar-orthogonal
-submatrices, and the coupled pair built by column-wise Gram-Schmidt.
+"""Samplers for Gaussian matrices, Haar-orthogonal submatrices, and the
+coupled pair built by column-wise Gram-Schmidt.
 
 Only the first q columns of an orthogonal matrix are ever materialized: the
 orthonormalized Gaussian columns are exactly those columns, so memory stays
@@ -21,7 +21,6 @@ __all__ = [
     "CoupledPair",
     "GramSchmidtResult",
     "sample_gaussian_matrix",
-    "sample_chi_square",
     "sample_haar_submatrix",
     "sample_coupled_pair",
     "gram_schmidt_coupling",
@@ -91,11 +90,6 @@ def sample_gaussian_matrix(rows: int, cols: int, stream: RngStream) -> np.ndarra
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be >= 1, got {rows} x {cols}")
     return stream.standard_normal((rows, cols))
-
-
-def sample_chi_square(m: int, stream: RngStream) -> float:
-    """One chi-square variate with m degrees of freedom."""
-    return stream.chi_square(m)
 
 
 def gram_schmidt_coupling(

@@ -1,13 +1,18 @@
 import io
 import json
+import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import fields
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haargauss import load_matrix_csv
-from haargauss.cli import ConfigError, main, parse_config, run
+from haargauss.cli import ConfigError, ExperimentConfig, main, parse_config, run
 from haargauss.reporting import (
     Histogram,
     Overlay,
@@ -90,6 +95,36 @@ class TestParseConfig:
             parse_config(["distance", "--config", str(path), "--n", "10", "--p", "2",
                           "--q", "2", "--output-dir", str(tmp_path)])
 
+    @pytest.mark.parametrize("command, payload", [
+        ("distance", {"grid": 5}),
+        ("distance", {"grid": [{"n": 12, "p": "4", "q": 3}]}),
+        ("distance", {"grid": [{"n": 12, "p": 4.5, "q": 3}]}),
+        ("distance", {"replicates": 2.7}),
+        ("distance", {"replicates": True}),
+        ("distance", {"replicates": 1}),
+        ("distance", {"master_seed": 2**64}),
+        ("distance", {"kind": "nope"}),
+        ("distance", {"output_dir": 3}),
+        ("clt", {"figure_grid": "false", "grid": [{"p": 60, "q": 8}]}),
+    ], ids=["grid-int", "grid-str-p", "grid-float-p", "replicates-float", "replicates-bool",
+            "replicates-1", "seed-2^64", "kind", "output-dir-int", "figure-grid-str"])
+    def test_bad_config_values(self, tmp_path, command, payload):
+        payload = {"grid": [{"n": 60, "p": 3, "q": 2}], **payload}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError):
+            parse_config([command, "--config", str(path), "--output-dir", str(tmp_path)])
+
+    def test_typed_values_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"replicates": 64.0, "threads": None, "figure_grid": True}))
+        cfg = parse_config(["clt", "--config", str(path), "--seed", str(2**64 - 6),
+                            "--output-dir", str(tmp_path)])
+        assert cfg.replicates == 64 and isinstance(cfg.replicates, int)
+        assert cfg.threads is None
+        assert cfg.figure_grid is True
+        assert cfg.master_seed == 2**64 - 6
+
 
 class TestMainExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -97,6 +132,29 @@ class TestMainExitCodes:
                      "--output-dir", str(tmp_path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload, flags", [
+        ("distance", {"grid": 5}, []),
+        ("distance", {}, ["--seed", str(2**64)]),
+        ("distance", {}, ["-N", "1"]),
+        ("distance", {"replicates": 2.7}, []),
+        ("clt", {"grid": []}, ["--figure-grid", "--seed", str(2**64 - 5)]),
+    ], ids=["grid-int", "seed-2^64", "N-1", "replicates-float", "figure-grid-seed-offset"])
+    def test_bad_input_is_2_without_a_run(self, tmp_path, capsys, command, payload, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": [{"n": 60, "p": 3, "q": 2}], **payload}))
+        runs = tmp_path / "runs"
+        code = main([command, "--config", str(path), "--output-dir", str(runs), *flags])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not runs.exists() or not any(runs.iterdir())
+
+    def test_bad_thread_variable_is_2(self, tmp_path, monkeypatch):
+        from haargauss.parallel import THREADS_ENV_VAR
+
+        monkeypatch.setenv(THREADS_ENV_VAR, "0")
+        assert main(["moments", "--n", "6", "--p", "2", "--q", "2",
+                     "--output-dir", str(tmp_path)]) == 2
 
     def test_distance_run_is_0(self, tmp_path):
         code = main(["distance", "--n", "60", "--p", "3", "--q", "2", "--kind", "tv",
@@ -306,3 +364,38 @@ class TestFreshRunDirectories:
             assert code == 0
         dirs = [p for p in tmp_path.iterdir() if p.is_dir()]
         assert len(dirs) == 2
+
+    def test_taken_name_gets_suffix(self, tmp_path, monkeypatch):
+        import haargauss.reporting as reporting
+
+        class FrozenClock:
+            @staticmethod
+            def now(tz):
+                return datetime(2026, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+
+        monkeypatch.setattr(reporting, "datetime", FrozenClock)
+        (tmp_path / "verify-20260102T030405Z-5").mkdir()
+        made = reporting.make_run_directory(tmp_path, "verify", 5)
+        assert made.name == "verify-20260102T030405Z-5-1"
+        assert reporting.make_run_directory(tmp_path, "verify", 5).name.endswith("-5-2")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=2), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestConfigProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.sampled_from([f.name for f in fields(ExperimentConfig)]), _JSON))
+    def test_any_json_config_exits_cleanly(self, payload):
+        # moments ignores the replicate count and evaluates closed forms, so
+        # a config that happens to be valid still runs in milliseconds
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(payload))
+            code = main(["moments", "--config", str(path), "--output-dir", str(Path(tmp) / "runs")])
+        assert code in (0, 1, 2)

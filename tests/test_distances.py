@@ -64,25 +64,20 @@ class TestEstimateContracts:
             with pytest.raises(UnsupportedRegimeError):
                 est(Dims(2, 2, 2), 100, 0)
 
-    def test_singular_sanity_mode(self):
-        # with the density path disabled every sample is out of support and
-        # the estimator returns exactly 1
-        est = estimate_tv(Dims(2, 2, 2), 500, 3, assume_singular=True)
-        assert est.mean == 1.0
-        assert est.std_error == 0.0
-
     def test_hellinger_property_guard(self):
         est = estimate_tv(Dims(50, 3, 2), 100, 0)
         with pytest.raises(ValueError):
             _ = est.hellinger
 
     def test_kl_abort_on_support_violation(self, monkeypatch):
-        # a corner sample outside the support is a bug, not a data point
+        # a corner sample outside the support is a bug, not a data point, in
+        # both estimators that draw corners
         import haargauss.distances as distances_module
 
         monkeypatch.setattr(distances_module, "log_ln", lambda *_: float("-inf"))
-        with pytest.raises(RuntimeError, match="support"):
-            estimate_kl(Dims(50, 3, 2), 10, 0)
+        for est in (estimate_kl, estimate_tv_from_haar):
+            with pytest.raises(RuntimeError, match="support"):
+                est(Dims(50, 3, 2), 10, 0)
 
 
 class TestDeterminism:

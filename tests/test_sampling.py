@@ -10,7 +10,6 @@ from haargauss import (
     gram_schmidt_coupling,
     load_matrix_csv,
     replicate_map,
-    sample_chi_square,
     sample_coupled_pair,
     sample_gaussian_matrix,
     sample_haar_submatrix,
@@ -61,11 +60,6 @@ class TestChiSquare:
         mean, se = mean_and_se(sq)
         assert_within_se(mean, 15.0, se, k=4, label="E chi^2(3)^2")
         assert abs(mean - 15.0) <= 0.2
-
-    def test_scalar_sampler(self):
-        assert sample_chi_square(4, RngStream(1, 0)) > 0
-        with pytest.raises(ValueError):
-            sample_chi_square(0, RngStream(1, 0))
 
 
 class TestHaarSubmatrix:
