@@ -4,7 +4,6 @@ Gram-Schmidt coupling, and the associated limit-theorem experiments."""
 
 from .density import (
     NEG_INFINITY,
-    KnMode,
     KnParts,
     PrimedLogParts,
     UnsupportedRegimeError,

@@ -188,6 +188,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        if exc.code == 0:  # --help printed the usage; that is a success
+            raise
         # argparse already printed its message; normalize to a config error
         raise ConfigError("invalid command line") from exc
     if args.command is None:
@@ -246,6 +248,13 @@ def _validate(config: ExperimentConfig, command: Command) -> None:
         )
     if command.needs_grid and not config.grid and not figure_grid:
         raise ConfigError(f"command {config.command!r} needs --n/--p/--q or a config grid")
+    # the overlap statistic needs two rows and two columns
+    if command.pq_grid and not figure_grid:
+        for d in config.grid:
+            if d.p < 2 or d.q < 2:
+                raise ConfigError(
+                    f"command {config.command!r} needs p >= 2 and q >= 2, got p={d.p}, q={d.q}"
+                )
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
@@ -489,71 +498,57 @@ def _cmd_clt(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[Resul
 
 
 def _verify_checks() -> list[tuple[str, int, bool]]:
-    """Exact-identity suite; every comparison is rational equality."""
-    checks: list[tuple[str, int, bool]] = []
+    """Exact-identity suite; every comparison is rational equality.
 
-    ok = True
-    count = 0
-    for n in range(2, 1_000_001):
-        count += 1
-        if n * moments.entry_monomial_moment(MonomialPattern.G11_SQ, n) != 1:
-            ok = False
-            break
-    checks.append(("row_normalization", count, ok))
-
+    Each check is a name, its cases and a predicate that holds on every case;
+    the predicates call through the ``moments`` module attribute at call time.
+    """
     grid = list(range(2, 2001)) + [10**4, 10**5, 10**6]
-    ok = True
-    for n in grid:
-        lhs = moments.entry_monomial_moment(
-            MonomialPattern.G11_4, n
-        ) + (n - 1) * moments.entry_monomial_moment(MonomialPattern.G11SQ_G12SQ, n)
-        if lhs != moments.entry_monomial_moment(MonomialPattern.G11_SQ, n):
-            ok = False
-            break
-    checks.append(("fourth_moment_sum_rule", len(grid), ok))
-
-    ok = True
-    for n in grid:
-        lhs = n * moments.entry_monomial_moment(MonomialPattern.G11SQ_G12SQ, n) + n * (
-            n - 1
-        ) * moments.entry_monomial_moment(MonomialPattern.CYCLE4, n)
-        if lhs != 0:
-            ok = False
-            break
-    checks.append(("orthogonality_sum_rule", len(grid), ok))
-
-    pairs = [
+    dirichlet_pairs = [
         (MonomialPattern.G11_SQ, (1,)),
         (MonomialPattern.G11_4, (2,)),
         (MonomialPattern.TRIPLE_COL, (1, 1, 1)),
         (MonomialPattern.G11SQ_G21SQ, (1, 1)),
         (MonomialPattern.G11_4_G21SQ, (2, 1)),
     ]
-    ok = True
-    cases = 0
-    for n in list(range(3, 301)) + [10**4, 10**6]:
-        for pattern, exponents in pairs:
-            cases += 1
-            if moments.entry_monomial_moment(pattern, n) != moments.dirichlet_moment(
-                n, exponents
-            ):
-                ok = False
-                break
-        if not ok:
-            break
-    checks.append(("dirichlet_consistency", cases, ok))
 
-    ok = True
-    count = 0
-    for n in range(3, 10_001):
-        count += 1
+    def full_dimension_traces(n: int) -> bool:
         d = Dims(n=n, p=n, q=n)
-        if moments.trace_power_moment(2, d) != n or moments.trace_power_moment(3, d) != n:
-            ok = False
-            break
-    checks.append(("trace_power_full_dimension", count, ok))
+        return moments.trace_power_moment(2, d) == n and moments.trace_power_moment(3, d) == n
 
-    return checks
+    table = [
+        (
+            "row_normalization",
+            range(2, 1_000_001),
+            lambda n: n * moments.entry_monomial_moment(MonomialPattern.G11_SQ, n) == 1,
+        ),
+        (
+            "fourth_moment_sum_rule",
+            grid,
+            lambda n: moments.entry_monomial_moment(MonomialPattern.G11_4, n)
+            + (n - 1) * moments.entry_monomial_moment(MonomialPattern.G11SQ_G12SQ, n)
+            == moments.entry_monomial_moment(MonomialPattern.G11_SQ, n),
+        ),
+        (
+            "orthogonality_sum_rule",
+            grid,
+            lambda n: n * moments.entry_monomial_moment(MonomialPattern.G11SQ_G12SQ, n)
+            + n * (n - 1) * moments.entry_monomial_moment(MonomialPattern.CYCLE4, n)
+            == 0,
+        ),
+        (
+            "dirichlet_consistency",
+            [
+                (n, pattern, exponents)
+                for n in list(range(3, 301)) + [10**4, 10**6]
+                for pattern, exponents in dirichlet_pairs
+            ],
+            lambda case: moments.entry_monomial_moment(case[1], case[0])
+            == moments.dirichlet_moment(case[0], case[2]),
+        ),
+        ("trace_power_full_dimension", range(3, 10_001), full_dimension_traces),
+    ]
+    return [(name, len(cases), all(map(holds, cases))) for name, cases, holds in table]
 
 
 def _cmd_verify(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .sampling import Dims
 
 __all__ = [
     "NEG_INFINITY",
-    "KnMode",
     "KnParts",
     "PrimedLogParts",
     "UnsupportedRegimeError",
@@ -40,18 +38,12 @@ class UnsupportedRegimeError(ValueError):
     """The density formula needs p + q <= n (after swapping p and q)."""
 
 
-class KnMode(Enum):
-    EXACT = "exact"
-    ASYMPTOTIC = "asymptotic"
-
-
 @dataclass(frozen=True)
 class KnParts:
     """Log normalizer together with the spectral exponent c_n."""
 
     log_kn: float
     c_n: float
-    mode: KnMode
 
 
 @dataclass(frozen=True)
@@ -122,7 +114,7 @@ def log_kn_exact(d: Dims) -> KnParts:
         raise UnsupportedRegimeError(
             f"density requires p + q <= n, got p={p}, q={q}, n={n}"
         )
-    return KnParts(log_kn=_log_kn_exact_raw(n, p, q), c_n=_c_n(n, p, q), mode=KnMode.EXACT)
+    return KnParts(log_kn=_log_kn_exact_raw(n, p, q), c_n=_c_n(n, p, q))
 
 
 def log_kn_asymptotic(d: Dims) -> KnParts:
@@ -135,17 +127,7 @@ def log_kn_asymptotic(d: Dims) -> KnParts:
     n = d.n
     if p >= n:
         raise ValueError(f"asymptotic normalizer needs p < n, got p={p}, n={n}")
-    return KnParts(
-        log_kn=_log_kn_asymptotic_raw(n, p, q), c_n=_c_n(n, p, q), mode=KnMode.ASYMPTOTIC
-    )
-
-
-def _kn_parts(d: Dims, mode: KnMode) -> KnParts:
-    if mode is KnMode.EXACT:
-        return log_kn_exact(d)
-    if mode is KnMode.ASYMPTOTIC:
-        return log_kn_asymptotic(d)
-    raise ValueError(f"unknown mode {mode!r}")
+    return KnParts(log_kn=_log_kn_asymptotic_raw(n, p, q), c_n=_c_n(n, p, q))
 
 
 def _gram(point: np.ndarray) -> np.ndarray:
@@ -174,16 +156,13 @@ def log_ln(z_block: np.ndarray, d: Dims) -> float:
     return _c_n(d.n, d.p, d.q) * logdet + 0.5 * trace
 
 
-def log_likelihood_ratio(point: np.ndarray, d: Dims, mode: KnMode = KnMode.EXACT) -> float:
+def log_likelihood_ratio(point: np.ndarray, d: Dims) -> float:
     """ln [f(point) / g(point)] where f is the density of the scaled corner
     and g the i.i.d. Gaussian density; -inf outside the support of f."""
-    parts = _kn_parts(d, mode)
-    return parts.log_kn + log_ln(point, d)
+    return log_kn_exact(d).log_kn + log_ln(point, d)
 
 
-def log_kn_prime_and_ln_prime(
-    point: np.ndarray, d: Dims, mode: KnMode = KnMode.EXACT
-) -> PrimedLogParts:
+def log_kn_prime_and_ln_prime(point: np.ndarray, d: Dims) -> PrimedLogParts:
     """Rebalanced factorization moving the (1 - p/n)^{c_n q} power from the
     eigenvalue factor into the normalizer; the product is unchanged.
 
@@ -191,7 +170,7 @@ def log_kn_prime_and_ln_prime(
     which makes the pair convenient for studying the law of the log ratio.
     """
     p, q = _canonical_pq(d)
-    parts = _kn_parts(d, mode)
+    parts = log_kn_exact(d)
     shift = parts.c_n * q * math.log1p(-p / d.n)
     ll = log_ln(point, d)
     return PrimedLogParts(

@@ -40,6 +40,9 @@ FIGURE_GRID: tuple[tuple[int, int], ...] = (
     (2500, 50),
     (10000, 100),
 )
+# draws per grid point; the KS thresholds need at least 2000 at every point
+FIGURE_GRID_REPLICATES = 6000
+FIGURE_GRID_LARGE_REPLICATES = 2000
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ def half_normal_cdf(x: float, scale: float = 1.0) -> float:
 def _hs_terms(d: Dims, stream: RngStream) -> tuple[float, float, float, float]:
     n, p, q = d.n, d.p, d.q
     y = stream.standard_normal((n, q))
-    gs = gram_schmidt_coupling(y, resample_stream=stream)
+    gs = gram_schmidt_coupling(y)
     root_n = math.sqrt(n)
 
     y_top = gs.y[:p, :]
@@ -209,23 +212,15 @@ class CltGridPoint:
     w_samples: np.ndarray
 
 
-def clt_figure_grid(
-    master_seed: int,
-    threads: int | None = None,
-    replicates_small: int = 6000,
-    replicates_large: int = 2000,
-) -> list[CltGridPoint]:
+def clt_figure_grid(master_seed: int, threads: int | None = None) -> list[CltGridPoint]:
     """Sample the overlap statistic on the comparison grid and score each
     point by its KS distance to the standard normal CDF.
 
-    The largest grid point uses ``replicates_large`` draws, the cheap ones
-    ``replicates_small``; both must be at least 2000 for the KS thresholds
-    to mean anything."""
-    if min(replicates_small, replicates_large) < 2000:
-        raise ValueError("the comparison grid needs at least 2000 draws per point")
+    The largest grid point uses ``FIGURE_GRID_LARGE_REPLICATES`` draws, the
+    cheap ones ``FIGURE_GRID_REPLICATES``."""
     points = []
     for offset, (p, q) in enumerate(FIGURE_GRID):
-        n_rep = replicates_large if p * q >= 200_000 else replicates_small
+        n_rep = FIGURE_GRID_LARGE_REPLICATES if p * q >= 200_000 else FIGURE_GRID_REPLICATES
         # distinct seed per grid point, derived deterministically
         seed = master_seed + offset
         samples = replicate_map(

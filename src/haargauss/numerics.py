@@ -27,30 +27,26 @@ _UINT64_MAX = 2**64 - 1
 class RngStream:
     """A reproducible random substream identified by value.
 
-    A stream is fully determined by ``(master_seed, replicate_index, epoch)``:
-    the pair ``(master_seed, replicate_index)`` keys a Philox counter-based
-    generator, so streams with different replicate indices are independent by
-    construction and equal values always reproduce bit-identical sequences.
-    ``epoch`` offsets the 256-bit counter and is only used to derive fresh
-    substreams for degenerate-event guards.
+    A stream is fully determined by ``(master_seed, replicate_index)``, which
+    keys a Philox counter-based generator, so streams with different replicate
+    indices are independent by construction and equal keys always reproduce
+    bit-identical sequences.
 
     Gaussian deviates come from numpy's ziggurat sampler; only their moments
     are contractual, not the bit patterns.
     """
 
-    __slots__ = ("master_seed", "replicate_index", "epoch", "_generator")
+    __slots__ = ("master_seed", "replicate_index", "_generator")
 
-    def __init__(self, master_seed: int, replicate_index: int = 0, epoch: int = 0):
+    def __init__(self, master_seed: int, replicate_index: int = 0):
         for name, value in (
             ("master_seed", master_seed),
             ("replicate_index", replicate_index),
-            ("epoch", epoch),
         ):
             if not (0 <= int(value) <= _UINT64_MAX):
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value!r}")
         self.master_seed = int(master_seed)
         self.replicate_index = int(replicate_index)
-        self.epoch = int(epoch)
         self._generator: np.random.Generator | None = None
 
     @property
@@ -58,13 +54,8 @@ class RngStream:
         """The underlying numpy generator, created lazily from the key."""
         if self._generator is None:
             key = np.array([self.master_seed, self.replicate_index], dtype=np.uint64)
-            counter = np.array([0, 0, 0, self.epoch], dtype=np.uint64)
-            self._generator = np.random.Generator(np.random.Philox(counter=counter, key=key))
+            self._generator = np.random.Generator(np.random.Philox(key=key))
         return self._generator
-
-    def next_substream(self) -> "RngStream":
-        """Fresh deterministic substream (counter epoch + 1) for guard paths."""
-        return RngStream(self.master_seed, self.replicate_index, self.epoch + 1)
 
     def gaussian(self) -> float:
         return float(self.generator.standard_normal())
@@ -75,20 +66,8 @@ class RngStream:
     def __repr__(self) -> str:
         return (
             f"RngStream(master_seed={self.master_seed}, "
-            f"replicate_index={self.replicate_index}, epoch={self.epoch})"
+            f"replicate_index={self.replicate_index})"
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RngStream):
-            return NotImplemented
-        return (self.master_seed, self.replicate_index, self.epoch) == (
-            other.master_seed,
-            other.replicate_index,
-            other.epoch,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.master_seed, self.replicate_index, self.epoch))
 
 
 def log_gamma(x: float) -> float:

@@ -78,6 +78,9 @@ def make_run_directory(output_dir: str | Path, command: str, master_seed: int) -
             candidate = base / f"{name}-{suffix}"
 
 
+HISTOGRAM_BINS = 61
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Equal-width bins over [lo, hi] plus two overflow counters."""
@@ -114,13 +117,11 @@ class Overlay:
         return out
 
 
-def histogram_with_overflow(
-    samples: np.ndarray, lo: float = -4.0, hi: float = 4.0, bins: int = 61
-) -> Histogram:
+def histogram_with_overflow(samples: np.ndarray, lo: float = -4.0, hi: float = 4.0) -> Histogram:
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
         raise ValueError("cannot build a histogram from an empty sample set")
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(samples, bins=edges)
     underflow = int(np.count_nonzero(samples < lo))
     overflow = int(np.count_nonzero(samples >= hi))

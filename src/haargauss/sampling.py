@@ -92,20 +92,15 @@ def sample_gaussian_matrix(rows: int, cols: int, stream: RngStream) -> np.ndarra
     return stream.standard_normal((rows, cols))
 
 
-def gram_schmidt_coupling(
-    y: np.ndarray,
-    resample_stream: RngStream | None = None,
-    pivot_tol: float = PIVOT_TOL,
-) -> GramSchmidtResult:
+def gram_schmidt_coupling(y: np.ndarray) -> GramSchmidtResult:
     """Column-wise modified Gram-Schmidt with one conditional
     reorthogonalization pass.
 
     A second projection pass runs whenever a column loses more than a factor
     1/sqrt(2) of its pre-projection norm, which keeps the computed columns
     orthonormal to near machine precision while agreeing with the classical
-    procedure in exact arithmetic.  A pivot below ``pivot_tol`` (a
-    probability-zero event) redraws that column from the next deterministic
-    substream of ``resample_stream``.
+    procedure in exact arithmetic.  A pivot below ``PIVOT_TOL`` (a
+    probability-zero event for Gaussian columns) raises ``RuntimeError``.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -120,10 +115,7 @@ def gram_schmidt_coupling(
     qt = np.empty((q, n))
     wt = np.empty((q, n))
     w_norms = np.empty(q)
-    guard = resample_stream
-    resampled = False
-    k = 0
-    while k < q:
+    for k in range(q):
         col = yt[k]
         pre_norm = float(np.linalg.norm(col))
         w = col.copy()
@@ -133,61 +125,35 @@ def gram_schmidt_coupling(
             for i in range(k):
                 w -= (qt[i] @ w) * qt[i]
         norm = float(np.linalg.norm(w))
-        if norm < pivot_tol:
-            if guard is None:
-                raise RuntimeError(
-                    f"Gram-Schmidt pivot {norm:.3e} below {pivot_tol:.1e} at column {k} "
-                    "and no resample stream was provided"
-                )
-            guard = guard.next_substream()
-            yt[k] = guard.standard_normal(n)
-            resampled = True
-            continue
+        if norm < PIVOT_TOL:
+            raise RuntimeError(
+                f"Gram-Schmidt pivot {norm:.3e} below {PIVOT_TOL:.1e} at column {k}"
+            )
         wt[k] = w
         w_norms[k] = norm
         qt[k] = w / norm
-        k += 1
-    y_out = np.ascontiguousarray(yt.T) if resampled else y
-    return GramSchmidtResult(y=y_out, q=qt.T, w=wt.T, w_norms=w_norms)
+    return GramSchmidtResult(y=y, q=qt.T, w=wt.T, w_norms=w_norms)
 
 
-def _haar_columns_qr(g: np.ndarray) -> np.ndarray:
-    """Orthonormal factor of a Gaussian matrix with Haar-invariant law.
-
-    Plain QR is not Haar distributed; flipping each column by the sign of the
-    matching diagonal entry of R pins the factorization to positive diagonal
-    and restores invariance.
-    """
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diagonal(r))
-    signs = np.where(signs == 0.0, 1.0, signs)
-    return q * signs
-
-
-def sample_haar_submatrix(
-    d: Dims, stream: RngStream, method: str = "qr"
-) -> np.ndarray:
+def sample_haar_submatrix(d: Dims, stream: RngStream) -> np.ndarray:
     """p x q upper-left block of an n x n Haar-invariant orthogonal matrix.
 
-    Draws an n x q Gaussian matrix and orthonormalizes its columns, either by
-    sign-corrected QR (default, fastest) or by the Gram-Schmidt routine used
-    for the coupling; the two agree in exact arithmetic.
+    Draws an n x q Gaussian matrix and orthonormalizes its columns by
+    sign-corrected QR.  Plain QR is not Haar distributed; flipping each
+    column by the sign of the matching diagonal entry of R pins the
+    factorization to positive diagonal and restores invariance.
     """
-    g = stream.standard_normal((d.n, d.q))
-    if method == "qr":
-        cols = _haar_columns_qr(g)
-    elif method == "gram-schmidt":
-        cols = gram_schmidt_coupling(g, resample_stream=stream).q
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'qr' or 'gram-schmidt'")
-    return cols[: d.p, :].copy()
+    q, r = np.linalg.qr(stream.standard_normal((d.n, d.q)))
+    signs = np.sign(np.diagonal(r))
+    signs = np.where(signs == 0.0, 1.0, signs)
+    return (q * signs)[: d.p, :].copy()
 
 
 def sample_coupled_pair(d: Dims, stream: RngStream) -> CoupledPair:
     """Draw the coupled pair of p x q blocks (Gaussian, Haar) on one
     probability space via Gram-Schmidt on shared Gaussian columns."""
     g = stream.standard_normal((d.n, d.q))
-    result = gram_schmidt_coupling(g, resample_stream=stream)
+    result = gram_schmidt_coupling(g)
     return CoupledPair(
         y_block=result.y[: d.p, :].copy(),
         gamma_block=result.q[: d.p, :].copy(),

@@ -139,7 +139,9 @@ class TestMainExitCodes:
         ("distance", {}, ["-N", "1"]),
         ("distance", {"replicates": 2.7}, []),
         ("clt", {"grid": []}, ["--figure-grid", "--seed", str(2**64 - 5)]),
-    ], ids=["grid-int", "seed-2^64", "N-1", "replicates-float", "figure-grid-seed-offset"])
+        ("clt", {}, ["--p", "1", "--q", "5", "-N", "10"]),
+    ], ids=["grid-int", "seed-2^64", "N-1", "replicates-float", "figure-grid-seed-offset",
+            "clt-p-1"])
     def test_bad_input_is_2_without_a_run(self, tmp_path, capsys, command, payload, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": [{"n": 60, "p": 3, "q": 2}], **payload}))
@@ -148,6 +150,18 @@ class TestMainExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
         assert not runs.exists() or not any(runs.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["clt", "--help"], ["verify", "--help"]],
+                             ids=["top-level", "clt", "verify"])
+    def test_help_is_0_without_a_run(self, tmp_path, capsys, argv):
+        runs = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output-dir", str(runs)])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert "usage:" in captured.out
+        assert "error:" not in captured.err
+        assert not runs.exists()
 
     def test_bad_thread_variable_is_2(self, tmp_path, monkeypatch):
         from haargauss.parallel import THREADS_ENV_VAR
@@ -320,6 +334,30 @@ class TestThreadEnvVar:
         monkeypatch.setenv(THREADS_ENV_VAR, "0")
         with pytest.raises(ValueError):
             thread_count()
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        import os
+
+        from haargauss.parallel import THREADS_ENV_VAR, thread_count
+
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert thread_count() == 1
+
+
+class TestBenchmarkHooks:
+    def test_traced_names_exist(self):
+        # the traced benchmark run wraps these module attributes by name
+        import haargauss.cli as cli_module
+        import haargauss.limits as limits_module
+
+        for name in ("estimate_tv", "estimate_hellinger", "estimate_kl", "run_hs_experiment",
+                     "replicate_map", "ks_statistic", "make_run_directory", "write_csv",
+                     "write_json", "write_histogram_csv", "emit_svg_histogram",
+                     "histogram_with_overflow"):
+            assert callable(getattr(cli_module, name, None)), name
+        assert cli_module.moments.__name__ == "haargauss.moments"
+        assert callable(getattr(limits_module, "ks_statistic", None))
 
 
 class TestExitCodeOne:

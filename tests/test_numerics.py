@@ -27,12 +27,6 @@ class TestRngStream:
         b = RngStream(42, 1).standard_normal(16)
         assert not np.allclose(a, b)
 
-    def test_epoch_substream_is_fresh(self):
-        base = RngStream(42, 5)
-        fresh = base.next_substream()
-        assert fresh.epoch == 1
-        assert not np.allclose(base.standard_normal(16), fresh.standard_normal(16))
-
     def test_gaussian_moments(self):
         draws = RngStream(2024, 0).standard_normal(10**6)
         assert abs(draws.mean()) <= 0.004
