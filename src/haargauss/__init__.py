@@ -17,6 +17,7 @@ from .density import (
 from .distances import (
     DistanceKind,
     EstimateWithError,
+    NoDrawInSupportError,
     estimate_hellinger,
     estimate_kl,
     estimate_tv,

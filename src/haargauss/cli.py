@@ -23,7 +23,7 @@ import numpy as np
 
 from . import moments
 from .density import UnsupportedRegimeError
-from .distances import estimate_hellinger, estimate_kl, estimate_tv
+from .distances import NoDrawInSupportError, estimate_hellinger, estimate_kl, estimate_tv
 from .limits import FIGURE_GRID, clt_figure_grid, clt_w_statistic, run_hs_experiment
 from .moments import MonomialPattern
 from .numerics import RngStream, ks_statistic, normal_cdf
@@ -409,6 +409,8 @@ def _cmd_distance(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[
                 )
                 row["mean"] = est.mean
                 row["std_error"] = est.std_error
+            except NoDrawInSupportError:
+                row["status"] = "NO_DRAW_IN_SUPPORT"
             except UnsupportedRegimeError:
                 row["status"] = "UNSUPPORTED_REGIME"
             elapsed = (time.perf_counter() - start) * 1000.0

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import NEG_INFINITY, log_kn_exact, log_ln
+from .density import NEG_INFINITY, UnsupportedRegimeError, log_kn_exact, log_ln
 from .numerics import RngStream, normal_cdf
 from .parallel import replicate_map
 from .sampling import Dims, sample_haar_submatrix
@@ -24,6 +24,7 @@ from .sampling import Dims, sample_haar_submatrix
 __all__ = [
     "DistanceKind",
     "EstimateWithError",
+    "NoDrawInSupportError",
     "estimate_tv",
     "estimate_kl",
     "estimate_hellinger",
@@ -38,6 +39,11 @@ class DistanceKind(Enum):
     TV = "tv"
     KL = "kl"
     HELLINGER = "hellinger"
+
+
+class NoDrawInSupportError(UnsupportedRegimeError):
+    """Every Gaussian block fell outside the corner density's support, so the
+    Gaussian-side estimate is a constant with a zero standard error."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,10 @@ def _estimate(
     times a Haar corner (law f).  A Gaussian block may legally fall outside
     the support of f and enters ``term`` with log ratio -inf; a corner sample
     can only do so through a sampler or density defect (the event has
-    probability zero), so it aborts the run with diagnostics.  The Hellinger
-    kind reports one minus the mean, the squared distance.
+    probability zero), so it aborts the run with diagnostics.  When no
+    Gaussian block lands inside the support the estimate carries no
+    information, and ``NoDrawInSupportError`` is raised.  The Hellinger kind
+    reports one minus the mean, the squared distance.
     """
     log_kn = log_kn_exact(d).log_kn
     root_n = math.sqrt(d.n)
@@ -102,9 +110,14 @@ def _estimate(
                 f"sampler or density bug (dims={d}, seed={master_seed}, "
                 f"replicate={index}, max|entry|={top:.6e})"
             )
-        return term(log_ratio)
+        return log_ratio
 
-    values = replicate_map(one, replicates, master_seed, threads=threads)
+    log_ratios = replicate_map(one, replicates, master_seed, threads=threads)
+    if np.all(log_ratios == NEG_INFINITY):
+        raise NoDrawInSupportError(
+            f"none of {replicates} Gaussian blocks lies inside the support (dims={d})"
+        )
+    values = np.array([term(log_ratio) for log_ratio in log_ratios])
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(values.size))
     if kind is DistanceKind.HELLINGER:

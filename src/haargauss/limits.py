@@ -13,7 +13,7 @@ import numpy as np
 
 from .numerics import RngStream, ks_statistic, normal_cdf
 from .parallel import replicate_map
-from .sampling import Dims, gram_schmidt_coupling
+from .sampling import Dims, _orthonormal_rows, _triangular_factor
 
 __all__ = [
     "FIGURE_GRID",
@@ -76,16 +76,15 @@ def half_normal_cdf(x: float, scale: float = 1.0) -> float:
 
 
 def _hs_terms(d: Dims, stream: RngStream) -> tuple[float, float, float, float]:
-    n, p, q = d.n, d.p, d.q
-    y = stream.standard_normal((n, q))
-    gs = gram_schmidt_coupling(y)
-    root_n = math.sqrt(n)
+    y_top, r = _triangular_factor(stream.standard_normal((d.n, d.q)), d.p)
+    root_n = math.sqrt(d.n)
 
-    y_top = gs.y[:p, :]
-    q_top = gs.q[:p, :]
-    proj_top = y_top - gs.w[:p, :]
+    # column k of y is Q (R e_k): its residual length is R_kk and its
+    # projection onto the previous columns is Q triu(R, 1) e_k
+    q_top = _orthonormal_rows(y_top, r)
+    proj_top = q_top @ np.triu(r, 1)
 
-    shrink = root_n - gs.w_norms
+    shrink = root_n - np.diagonal(r)
     a = shrink * shrink
     b = np.einsum("ij,ij->j", q_top, q_top)
     c = np.einsum("ij,ij->j", proj_top, proj_top)
@@ -108,7 +107,7 @@ def _hs_terms(d: Dims, stream: RngStream) -> tuple[float, float, float, float]:
 def hs_sample(d: Dims, stream: RngStream) -> HsSample:
     """Draw one coupled pair and return the Hilbert-Schmidt distance between
     the scaled orthogonal block and the Gaussian block, with its
-    decomposition terms computed from the Gram-Schmidt intermediates."""
+    decomposition terms computed from the Gram-Schmidt triangular factor."""
     hs, ab, c, cross = _hs_terms(d, stream)
     return HsSample(hs_norm=hs, term_ab=ab, term_c=c, cross=cross)
 

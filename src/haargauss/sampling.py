@@ -1,14 +1,16 @@
 """Samplers for Gaussian matrices, Haar-orthogonal submatrices, and the
 coupled pair built by column-wise Gram-Schmidt.
 
-Only the first q columns of an orthogonal matrix are ever materialized: the
-orthonormalized Gaussian columns are exactly those columns, so memory stays
-O(nq) instead of O(n^2).
+All three orthonormalizing samplers, and the coupled Hilbert-Schmidt
+statistic, read one kernel: for an n x q Gaussian Y, the top rows Y_top and
+the positive-diagonal triangular factor R of Y = QR.  Gram-Schmidt on the
+columns of Y is that Q, so a Haar corner is Y_top R^-1 and the coupled pair
+is (Y_top, Y_top R^-1).  Only R (q x q) and the rows of Q that a caller
+asks for are formed, and nothing of the n x n orthogonal matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,72 +94,63 @@ def sample_gaussian_matrix(rows: int, cols: int, stream: RngStream) -> np.ndarra
     return stream.standard_normal((rows, cols))
 
 
-def gram_schmidt_coupling(y: np.ndarray) -> GramSchmidtResult:
-    """Column-wise modified Gram-Schmidt with one conditional
-    reorthogonalization pass.
+def _triangular_factor(y: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top ``rows`` rows of y and the positive-diagonal R of y = QR; a
+    pivot R_kk below ``PIVOT_TOL`` (a probability-zero event for Gaussian
+    columns) raises ``RuntimeError``."""
+    r = np.linalg.qr(y, mode="r")
+    r *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]
+    pivots = np.diagonal(r)
+    if pivots.min() < PIVOT_TOL:
+        k = int(np.argmin(pivots))
+        raise RuntimeError(
+            f"Gram-Schmidt pivot {pivots[k]:.3e} below {PIVOT_TOL:.1e} at column {k}"
+        )
+    return y[:rows], r
 
-    A second projection pass runs whenever a column loses more than a factor
-    1/sqrt(2) of its pre-projection norm, which keeps the computed columns
-    orthonormal to near machine precision while agreeing with the classical
-    procedure in exact arithmetic.  A pivot below ``PIVOT_TOL`` (a
-    probability-zero event for Gaussian columns) raises ``RuntimeError``.
+
+def _orthonormal_rows(y_rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """y_rows R^-1, the matching rows of the orthonormalized columns.
+
+    Their orthonormality error grows with the condition number of y: over
+    3,000 square Dims(10, 10, 10) draws (seed 0) max |Z'Z - I| reached
+    6.4e-12, against about 1e-15 for an explicitly formed Q.
     """
+    return np.linalg.solve(r.T, y_rows.T).T
+
+
+def gram_schmidt_coupling(y: np.ndarray) -> GramSchmidtResult:
+    """Gram-Schmidt on the columns of y, read off the positive-diagonal
+    triangular factor: q = y R^-1, w_norms = diag(R) and the projections
+    q triu(R, 1).  A pivot below ``PIVOT_TOL`` raises ``RuntimeError``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise ValueError(f"expected a 2-d array of columns, got shape {y.shape}")
     n, q = y.shape
     if q > n:
         raise ValueError(f"cannot orthonormalize {q} columns in dimension {n}")
-
-    # work on contiguous rows: column slices of a row-major (n, q) array are
-    # strided and an order of magnitude slower to project against
-    yt = np.ascontiguousarray(y.T)
-    qt = np.empty((q, n))
-    wt = np.empty((q, n))
-    w_norms = np.empty(q)
-    for k in range(q):
-        col = yt[k]
-        pre_norm = float(np.linalg.norm(col))
-        w = col.copy()
-        for i in range(k):
-            w -= (qt[i] @ w) * qt[i]
-        if float(np.linalg.norm(w)) < pre_norm / math.sqrt(2.0):
-            for i in range(k):
-                w -= (qt[i] @ w) * qt[i]
-        norm = float(np.linalg.norm(w))
-        if norm < PIVOT_TOL:
-            raise RuntimeError(
-                f"Gram-Schmidt pivot {norm:.3e} below {PIVOT_TOL:.1e} at column {k}"
-            )
-        wt[k] = w
-        w_norms[k] = norm
-        qt[k] = w / norm
-    return GramSchmidtResult(y=y, q=qt.T, w=wt.T, w_norms=w_norms)
+    _, r = _triangular_factor(y, n)
+    qmat = _orthonormal_rows(y, r)
+    return GramSchmidtResult(
+        y=y, q=qmat, w=y - qmat @ np.triu(r, 1), w_norms=np.diagonal(r).copy()
+    )
 
 
 def sample_haar_submatrix(d: Dims, stream: RngStream) -> np.ndarray:
     """p x q upper-left block of an n x n Haar-invariant orthogonal matrix.
 
-    Draws an n x q Gaussian matrix and orthonormalizes its columns by
-    sign-corrected QR.  Plain QR is not Haar distributed; flipping each
-    column by the sign of the matching diagonal entry of R pins the
-    factorization to positive diagonal and restores invariance.
+    Orthonormalizes the columns of an n x q Gaussian matrix by Gram-Schmidt,
+    i.e. QR with R pinned to a positive diagonal (plain QR is not Haar
+    distributed), and solves for the p top rows of Q only.
     """
-    q, r = np.linalg.qr(stream.standard_normal((d.n, d.q)))
-    signs = np.sign(np.diagonal(r))
-    signs = np.where(signs == 0.0, 1.0, signs)
-    return (q * signs)[: d.p, :].copy()
+    return _orthonormal_rows(*_triangular_factor(stream.standard_normal((d.n, d.q)), d.p))
 
 
 def sample_coupled_pair(d: Dims, stream: RngStream) -> CoupledPair:
     """Draw the coupled pair of p x q blocks (Gaussian, Haar) on one
     probability space via Gram-Schmidt on shared Gaussian columns."""
-    g = stream.standard_normal((d.n, d.q))
-    result = gram_schmidt_coupling(g)
-    return CoupledPair(
-        y_block=result.y[: d.p, :].copy(),
-        gamma_block=result.q[: d.p, :].copy(),
-    )
+    y_top, r = _triangular_factor(stream.standard_normal((d.n, d.q)), d.p)
+    return CoupledPair(y_block=y_top.copy(), gamma_block=_orthonormal_rows(y_top, r))
 
 
 def dump_matrix_csv(matrix: np.ndarray, path: str | Path) -> Path:

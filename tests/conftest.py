@@ -64,6 +64,13 @@ def gauss_legendre_expectation(fn, mu: float, s: float, split=(), half_width: fl
     return total
 
 
+def explicit_q(y: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt on the columns of y as Householder QR with Q formed
+    explicitly, each column's sign pinned so that R has a positive diagonal."""
+    q, r = np.linalg.qr(y)
+    return q * np.sign(np.diagonal(r))
+
+
 @pytest.fixture
 def tol():
     return 1e-10

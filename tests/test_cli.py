@@ -197,6 +197,16 @@ class TestDistanceCommand:
         body = (_run_dir_of(tmp_path) / "results.csv").read_text()
         assert "UNSUPPORTED_REGIME" in body
 
+    def test_no_draw_in_support_rows(self, tmp_path):
+        code = main(["distance", "--n", "400", "--p", "190", "--q", "190", "-N", "20",
+                     "--kind", "all", "--output-dir", str(tmp_path)])
+        assert code == 0
+        lines = (_run_dir_of(tmp_path) / "results.csv").read_text().splitlines()
+        rows = {line.split(",")[3]: line for line in lines[1:]}
+        assert rows["tv"] == "400,190,190,tv,20,0,,,NO_DRAW_IN_SUPPORT"
+        assert rows["hellinger"] == "400,190,190,hellinger,20,0,,,NO_DRAW_IN_SUPPORT"
+        assert rows["kl"].endswith(",ok")
+
     def test_thread_count_invariance_bytes(self, tmp_path):
         outputs = []
         for threads, sub in ((1, "a"), (4, "b")):
@@ -358,6 +368,39 @@ class TestBenchmarkHooks:
             assert callable(getattr(cli_module, name, None)), name
         assert cli_module.moments.__name__ == "haargauss.moments"
         assert callable(getattr(limits_module, "ks_statistic", None))
+
+    def test_layer_names_exist(self):
+        # the traced benchmark times these layer functions directly, and its
+        # environment fingerprint reads the default worker count
+        from haargauss import moments
+        from haargauss.density import log_kn_exact, log_ln
+        from haargauss.distances import estimate_kl, estimate_tv
+        from haargauss.numerics import RngStream, cholesky_logdet
+        from haargauss.parallel import replicate_map, thread_count
+        from haargauss.sampling import (
+            Dims,
+            gram_schmidt_coupling,
+            sample_gaussian_matrix,
+            sample_haar_submatrix,
+        )
+
+        stream = RngStream(0, 1)
+        assert isinstance(stream.gaussian(), float)
+        y = stream.standard_normal((20, 3))
+        assert gram_schmidt_coupling(y).q.shape == (20, 3)
+        assert sample_gaussian_matrix(4, 3, stream).shape == (4, 3)
+        d = Dims(20, 3, 3)
+        assert sample_haar_submatrix(d, stream).shape == (3, 3)
+        assert np.isfinite(cholesky_logdet(np.eye(3) - y[:3].T @ y[:3] / 100))
+        assert np.isfinite(log_kn_exact(d).log_kn + log_ln(y[:3], d))
+        for estimate in (estimate_tv, estimate_kl):
+            assert estimate(d, 4, 0, threads=1).replicates == 4
+        assert replicate_map(lambda s, j: 0.0, 4, 0, threads=2).shape == (4,)
+        assert thread_count() >= 1
+        pattern = moments.MonomialPattern.CYCLE6
+        assert moments.entry_monomial_moment(pattern, 10**6) is not None
+        assert moments.trace_power_moment(3, Dims(50, 50, 50)) == 50
+        assert moments.dirichlet_moment(300, (2, 1)) > 0
 
 
 class TestExitCodeOne:

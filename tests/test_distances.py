@@ -64,6 +64,15 @@ class TestEstimateContracts:
             with pytest.raises(UnsupportedRegimeError):
                 est(Dims(2, 2, 2), 100, 0)
 
+    def test_no_draw_in_support(self):
+        # far from the curve every Gaussian block leaves the support; the old
+        # estimate was a constant (TV 1, Hellinger^2 1) with std_error 0
+        from haargauss import NoDrawInSupportError
+
+        for est in (estimate_tv, estimate_hellinger):
+            with pytest.raises(NoDrawInSupportError):
+                est(Dims(400, 190, 190), 20, 0)
+
     def test_hellinger_property_guard(self):
         est = estimate_tv(Dims(50, 3, 2), 100, 0)
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from haargauss import (
 )
 from haargauss.limits import FIGURE_GRID, _hs_terms
 
-from conftest import assert_within_se, mean_and_se, variance_and_se
+from conftest import assert_within_se, explicit_q, mean_and_se, variance_and_se
 
 
 class TestHsSample:
@@ -52,10 +52,7 @@ class TestHsSample:
         d = Dims(12, 12, 12)
         stream = RngStream(304, 0)
         y = RngStream(304, 0).standard_normal((12, 12))
-        from haargauss import gram_schmidt_coupling
-
-        gs = gram_schmidt_coupling(y)
-        expected = float(np.linalg.norm(math.sqrt(12) * gs.q - y))
+        expected = float(np.linalg.norm(math.sqrt(12) * explicit_q(y) - y))
         s = hs_sample(d, stream)
         assert s.hs_norm == pytest.approx(expected, abs=1e-8)
 

@@ -15,7 +15,7 @@ from haargauss import (
     sample_haar_submatrix,
 )
 
-from conftest import assert_within_se, mean_and_se
+from conftest import assert_within_se, explicit_q, mean_and_se
 
 
 class TestDims:
@@ -81,6 +81,21 @@ class TestHaarSubmatrix:
         )
         mean, se = mean_and_se(vals)
         assert_within_se(mean, 1.0 / n, se, k=3, label="E entry^2")
+
+    @pytest.mark.parametrize("n,p,q", [(1024, 32, 32), (2000, 1000, 1), (50, 5, 4)])
+    def test_matches_explicit_q_oracle(self, n, p, q):
+        d = Dims(n, p, q)
+        for index in range(5):
+            z = sample_haar_submatrix(d, RngStream(110, index))
+            oracle = explicit_q(RngStream(110, index).standard_normal((n, q)))[:p]
+            assert np.max(np.abs(z - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_square_corners_orthogonal(self, n):
+        # Y_top R^-1 loses orthogonality with the condition number of Y
+        for index in range(20):
+            z = sample_haar_submatrix(Dims(n, n, n), RngStream(111, index))
+            assert np.max(np.abs(z.T @ z - np.eye(n))) <= 1e-10
 
     def test_entry_fourth_moment_n2(self):
         vals = replicate_map(
@@ -154,6 +169,14 @@ class TestCoupledPair:
         lhs = np.linalg.norm(math.sqrt(50) * pair.gamma_block - pair.y_block)
         rhs = abs(math.sqrt(50) / np.linalg.norm(y) - 1.0) * np.linalg.norm(y[:20])
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_gamma_block_is_the_haar_corner(self):
+        # the coupled pair and the Haar sampler share one kernel, so the same
+        # stream gives the same corner bit for bit
+        for d in (Dims(15, 4, 3), Dims(200, 50, 1), Dims(12, 12, 12)):
+            pair = sample_coupled_pair(d, RngStream(112, d.n))
+            corner = sample_haar_submatrix(d, RngStream(112, d.n))
+            assert pair.gamma_block.tobytes() == corner.tobytes()
 
     def test_block_shapes(self):
         d = Dims(15, 4, 3)
