@@ -487,7 +487,7 @@ def _cmd_clt(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[Resul
     for g_index, d in enumerate(config.grid):
         start = time.perf_counter()
         samples = replicate_map(
-            lambda stream, _: clt_w_statistic(d.p, d.q, stream).w,
+            lambda stream, _: clt_w_statistic(d.p, d.q, stream),
             config.replicates,
             config.master_seed,
             threads=config.threads,

@@ -2,7 +2,7 @@
 of its likelihood ratio against the i.i.d. Gaussian density.
 
 The ratio factors as a deterministic normalizer times an eigenvalue-dependent
-term.  Points whose Gram spectrum leaves the support contribute a density of
+term, so ln f/g at z is ``log_kn_exact(d).log_kn + log_ln(z, d)``.  Points whose Gram spectrum leaves the support contribute a density of
 zero; that case is carried as a -inf log value, not an error, because the
 distance estimators integrate over Gaussian samples that can legally land
 there.
@@ -15,20 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import cholesky_logdet, log_gamma
+from .numerics import cholesky_logdet
 from .sampling import Dims
 
 __all__ = [
     "NEG_INFINITY",
     "KnParts",
-    "PrimedLogParts",
     "UnsupportedRegimeError",
-    "log_wishart_constant",
     "log_kn_exact",
     "log_kn_asymptotic",
     "log_ln",
-    "log_likelihood_ratio",
-    "log_kn_prime_and_ln_prime",
 ]
 
 NEG_INFINITY = float("-inf")
@@ -46,35 +42,10 @@ class KnParts:
     c_n: float
 
 
-@dataclass(frozen=True)
-class PrimedLogParts:
-    """Rebalanced split of the log ratio; the sum equals log_kn + log_ln."""
-
-    log_kn_prime: float
-    log_ln_prime: float
-
-
 def _canonical_pq(d: Dims) -> tuple[int, int]:
     """Orient the block so the Gram matrix is the smaller of the two; the
     density is symmetric under transposing the corner."""
     return (d.p, d.q) if d.q <= d.p else (d.q, d.p)
-
-
-def log_wishart_constant(s: float, t: int) -> float:
-    """ln of the Wishart normalizing constant w(s, t).
-
-    1/w(s, t) = pi^{t(t-1)/4} * 2^{st/2} * prod_{j=1}^{t} Gamma((s-j+1)/2),
-    defined for integer t >= 1 and real s > t - 1.
-    """
-    if int(t) != t or t < 1:
-        raise ValueError(f"t must be a positive integer, got {t}")
-    t = int(t)
-    if not s > t - 1:
-        raise ValueError(f"require s > t - 1, got s={s}, t={t}")
-    log_inv = (t * (t - 1) / 4.0) * math.log(math.pi) + (s * t / 2.0) * math.log(2.0)
-    for j in range(1, t + 1):
-        log_inv += log_gamma((s - j + 1) / 2.0)
-    return -log_inv
 
 
 def _c_n(n: int, p: int, q: int) -> float:
@@ -89,7 +60,7 @@ def _log_kn_exact_raw(n: int, p: int, q: int) -> float:
         return 0.0
     total = (p * q / 2.0) * (math.log(2.0) - math.log(n))
     for j in range(q):
-        total += log_gamma((n - j) / 2.0) - log_gamma((n - p - j) / 2.0)
+        total += math.lgamma((n - j) / 2.0) - math.lgamma((n - p - j) / 2.0)
     return total
 
 
@@ -154,26 +125,3 @@ def log_ln(z_block: np.ndarray, d: Dims) -> float:
     if logdet is None:
         return NEG_INFINITY
     return _c_n(d.n, d.p, d.q) * logdet + 0.5 * trace
-
-
-def log_likelihood_ratio(point: np.ndarray, d: Dims) -> float:
-    """ln [f(point) / g(point)] where f is the density of the scaled corner
-    and g the i.i.d. Gaussian density; -inf outside the support of f."""
-    return log_kn_exact(d).log_kn + log_ln(point, d)
-
-
-def log_kn_prime_and_ln_prime(point: np.ndarray, d: Dims) -> PrimedLogParts:
-    """Rebalanced factorization moving the (1 - p/n)^{c_n q} power from the
-    eigenvalue factor into the normalizer; the product is unchanged.
-
-    The primed normalizer converges to a constant in the rectangular regime,
-    which makes the pair convenient for studying the law of the log ratio.
-    """
-    p, q = _canonical_pq(d)
-    parts = log_kn_exact(d)
-    shift = parts.c_n * q * math.log1p(-p / d.n)
-    ll = log_ln(point, d)
-    return PrimedLogParts(
-        log_kn_prime=parts.log_kn + shift,
-        log_ln_prime=ll - shift,
-    )

@@ -59,8 +59,6 @@ class EstimateWithError:
     std_error: float
     replicates: int
     kind: DistanceKind
-    dims: Dims
-    master_seed: int
 
     def __post_init__(self) -> None:
         if self.replicates < 2:
@@ -122,7 +120,7 @@ def _estimate(
     se = float(np.std(values, ddof=1) / math.sqrt(values.size))
     if kind is DistanceKind.HELLINGER:
         mean = 1.0 - mean
-    return EstimateWithError(mean, se, replicates, kind, d, master_seed)
+    return EstimateWithError(mean, se, replicates, kind)
 
 
 def estimate_tv(

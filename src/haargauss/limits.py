@@ -1,7 +1,6 @@
 """Experiments around the coupling and the limit theorems: the
 Hilbert-Schmidt statistic with its decomposition, the q = 1 limit law, the
-concentration of the coupled distance, the Gram-overlap CLT, and the extreme
-eigenvalue concentration of tall Wishart matrices.
+concentration of the coupled distance, and the Gram-overlap CLT.
 """
 
 from __future__ import annotations
@@ -17,17 +16,12 @@ from .sampling import Dims, _orthonormal_rows, _triangular_factor
 
 __all__ = [
     "FIGURE_GRID",
-    "HsSample",
-    "CltSample",
     "HsExperimentResult",
     "CltGridPoint",
-    "EigenConcentrationResult",
-    "hs_sample",
     "run_hs_experiment",
     "clt_w_statistic",
     "clt_w_statistic_p1",
     "clt_figure_grid",
-    "eigen_concentration",
     "half_normal_cdf",
 ]
 
@@ -45,29 +39,6 @@ FIGURE_GRID_REPLICATES = 6000
 FIGURE_GRID_LARGE_REPLICATES = 2000
 
 
-@dataclass(frozen=True)
-class HsSample:
-    """One draw of the coupled Hilbert-Schmidt distance and its split.
-
-    hs_norm^2 = term_ab + term_c + cross up to roundoff, where term_ab sums
-    the products of the column shrink factors with the top-block column
-    masses, term_c sums the top-block projection masses, and cross collects
-    the mixed inner products.
-    """
-
-    hs_norm: float
-    term_ab: float
-    term_c: float
-    cross: float
-
-
-@dataclass(frozen=True)
-class CltSample:
-    """One draw of the normalized off-diagonal Gram overlap statistic."""
-
-    w: float
-
-
 def half_normal_cdf(x: float, scale: float = 1.0) -> float:
     """CDF of scale * |N(0,1)|."""
     if x <= 0.0:
@@ -76,6 +47,8 @@ def half_normal_cdf(x: float, scale: float = 1.0) -> float:
 
 
 def _hs_terms(d: Dims, stream: RngStream) -> tuple[float, float, float, float]:
+    """One coupled draw: (hs_norm, term_ab, term_c, cross), the per-draw
+    entries of :class:`HsExperimentResult`."""
     y_top, r = _triangular_factor(stream.standard_normal((d.n, d.q)), d.p)
     root_n = math.sqrt(d.n)
 
@@ -104,21 +77,16 @@ def _hs_terms(d: Dims, stream: RngStream) -> tuple[float, float, float, float]:
     return math.sqrt(hs_sq), float((a * b).sum()), float(c.sum()), float(eps.sum())
 
 
-def hs_sample(d: Dims, stream: RngStream) -> HsSample:
-    """Draw one coupled pair and return the Hilbert-Schmidt distance between
-    the scaled orthogonal block and the Gaussian block, with its
-    decomposition terms computed from the Gram-Schmidt triangular factor."""
-    hs, ab, c, cross = _hs_terms(d, stream)
-    return HsSample(hs_norm=hs, term_ab=ab, term_c=c, cross=cross)
-
-
 @dataclass(frozen=True)
 class HsExperimentResult:
-    """Replicated coupled-distance draws plus the derived summaries."""
+    """Replicated coupled-distance draws plus the derived summaries.
 
-    dims: Dims
-    replicates: int
-    master_seed: int
+    Per draw, hs_norms^2 = term_ab + term_c + cross up to roundoff, where
+    term_ab sums the products of the column shrink factors with the top-block
+    column masses, term_c sums the top-block projection masses, and cross
+    collects the mixed inner products.
+    """
+
     hs_norms: np.ndarray
     term_ab: np.ndarray
     term_c: np.ndarray
@@ -154,9 +122,6 @@ def run_hs_experiment(
         scale = math.sqrt(d.p / d.n / 2.0)
         ks = ks_statistic(hs, lambda x: half_normal_cdf(x, scale))
     return HsExperimentResult(
-        dims=d,
-        replicates=replicates,
-        master_seed=master_seed,
         hs_norms=hs,
         term_ab=values[:, 1],
         term_c=values[:, 2],
@@ -169,7 +134,7 @@ def run_hs_experiment(
     )
 
 
-def clt_w_statistic(p: int, q: int, stream: RngStream) -> CltSample:
+def clt_w_statistic(p: int, q: int, stream: RngStream) -> float:
     """One draw of the centered, normalized off-diagonal Gram overlap
     statistic for a p x q standard Gaussian matrix.
 
@@ -183,8 +148,7 @@ def clt_w_statistic(p: int, q: int, stream: RngStream) -> CltSample:
     fro_sq = float(np.einsum("ij,ij->", gram, gram))
     diag = np.diagonal(gram)
     off_sq = fro_sq - float(diag @ diag)
-    w = (off_sq - q * (q - 1) * p) / (2.0 * p * q)
-    return CltSample(w=w)
+    return (off_sq - q * (q - 1) * p) / (2.0 * p * q)
 
 
 def clt_w_statistic_p1(q: int, stream: RngStream) -> float:
@@ -223,7 +187,7 @@ def clt_figure_grid(master_seed: int, threads: int | None = None) -> list[CltGri
         # distinct seed per grid point, derived deterministically
         seed = master_seed + offset
         samples = replicate_map(
-            lambda stream, _, p=p, q=q: clt_w_statistic(p, q, stream).w,
+            lambda stream, _, p=p, q=q: clt_w_statistic(p, q, stream),
             n_rep,
             seed,
             threads=threads,
@@ -231,40 +195,3 @@ def clt_figure_grid(master_seed: int, threads: int | None = None) -> list[CltGri
         ks = ks_statistic(samples, normal_cdf)
         points.append(CltGridPoint(p=p, q=q, replicates=n_rep, ks_normal=ks, w_samples=samples))
     return points
-
-
-@dataclass(frozen=True)
-class EigenConcentrationResult:
-    p: int
-    q: int
-    replicates: int
-    master_seed: int
-    max_dev_samples: np.ndarray
-
-
-def eigen_concentration(
-    p: int,
-    q: int,
-    replicates: int,
-    master_seed: int,
-    threads: int | None = None,
-) -> EigenConcentrationResult:
-    """Samples of max_i |lambda_i / p - 1| over the Gram spectrum of a
-    p x q standard Gaussian matrix (columns as the vectors, q <= p).
-
-    The deviations collapse when q/p is small and stay order one in the
-    square regime; the q x q eigenproblem is solved by LAPACK."""
-    if q > p:
-        raise ValueError(f"need q <= p, got p={p}, q={q}")
-    if p < 1 or q < 1:
-        raise ValueError(f"need p >= 1 and q >= 1, got p={p}, q={q}")
-
-    def one(stream: RngStream, _: int) -> float:
-        x = stream.standard_normal((p, q))
-        eigenvalues = np.linalg.eigvalsh(x.T @ x)
-        return float(np.max(np.abs(eigenvalues / p - 1.0)))
-
-    samples = replicate_map(one, replicates, master_seed, threads=threads)
-    return EigenConcentrationResult(
-        p=p, q=q, replicates=replicates, master_seed=master_seed, max_dev_samples=samples
-    )

@@ -23,11 +23,9 @@ __all__ = [
     "dirichlet_moment",
     "entry_monomial_moment",
     "trace_power_moment",
-    "chi_square_moment",
     "chi_square_central_stats",
     "wishart_trace_stats",
     "sigma_trace_sums",
-    "bilinear_fourth_moment",
 ]
 
 
@@ -167,16 +165,6 @@ def trace_power_moment(k: int, d: Dims) -> Fraction:
     raise ValueError(f"trace power k must be 1, 2 or 3, got {k}")
 
 
-def chi_square_moment(m: int, k: int) -> Fraction:
-    """E[(chi^2_m)^k] = prod_{l=0}^{k-1} (m + 2l)."""
-    if m < 1 or k < 1:
-        raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    out = 1
-    for l in range(k):
-        out *= m + 2 * l
-    return Fraction(out)
-
-
 @dataclass(frozen=True)
 class ChiSquareCentralStats:
     var: Fraction
@@ -240,11 +228,3 @@ def sigma_trace_sums(d: Dims) -> SigmaTraceSums:
             p * q * (q - 1) * (q - 2) * (n - p), 3 * n * (n - 1) * (n + 2)
         )
     return SigmaTraceSums(sum_e_tr=sum_e_tr, sum_e_tr2=sum_e_tr2)
-
-
-def bilinear_fourth_moment(dot_ab: float) -> float:
-    """E[(a'y)^2 (b'y)^2] = 2 (a'b)^2 + 1 for unit vectors a, b and a
-    standard Gaussian vector y."""
-    if abs(dot_ab) > 1.0:
-        raise ValueError(f"|a'b| cannot exceed 1 for unit vectors, got {dot_ab}")
-    return 2.0 * dot_ab * dot_ab + 1.0

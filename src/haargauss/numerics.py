@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "log_gamma",
     "normal_cdf",
     "cholesky_logdet",
     "ks_statistic",
@@ -68,13 +67,6 @@ class RngStream:
             f"RngStream(master_seed={self.master_seed}, "
             f"replicate_index={self.replicate_index})"
         )
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def normal_cdf(x: float) -> float:

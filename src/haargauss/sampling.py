@@ -49,11 +49,6 @@ class Dims:
             raise ValueError(f"require 1 <= q <= n, got q={self.q}, n={self.n}")
 
     @property
-    def distance_sigma(self) -> float:
-        """pq/n, the scale parameter of the distance phase transition."""
-        return self.p * self.q / self.n
-
-    @property
     def coupling_sigma(self) -> float:
         """pq^2/n, the scale parameter of the coupled Euclidean distance."""
         return self.p * self.q * self.q / self.n

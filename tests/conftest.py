@@ -64,6 +64,23 @@ def gauss_legendre_expectation(fn, mu: float, s: float, split=(), half_width: fl
     return total
 
 
+def log_wishart_constant(s: float, t: int) -> float:
+    """ln of the Wishart normalizing constant w(s, t).
+
+    1/w(s, t) = pi^{t(t-1)/4} * 2^{st/2} * prod_{j=1}^{t} Gamma((s-j+1)/2),
+    defined for integer t >= 1 and real s > t - 1.
+    """
+    if int(t) != t or t < 1:
+        raise ValueError(f"t must be a positive integer, got {t}")
+    t = int(t)
+    if not s > t - 1:
+        raise ValueError(f"require s > t - 1, got s={s}, t={t}")
+    log_inv = (t * (t - 1) / 4.0) * math.log(math.pi) + (s * t / 2.0) * math.log(2.0)
+    for j in range(1, t + 1):
+        log_inv += math.lgamma((s - j + 1) / 2.0)
+    return -log_inv
+
+
 def explicit_q(y: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on the columns of y as Householder QR with Q formed
     explicitly, each column's sign pinned so that R has a positive diagonal."""

@@ -260,7 +260,7 @@ def test_criterion_7_clt(tmp_path):
         assert len(list(tmp_path.glob("clt-hist-*.svg"))) == 6
 
         w_900 = replicate_map(
-            lambda s, _: clt_w_statistic(900, 30, s).w, 5000, 9702, threads=2
+            lambda s, _: clt_w_statistic(900, 30, s), 5000, 9702, threads=2
         )
         var_900 = float(np.var(w_900, ddof=1))
         assert abs(var_900 - 1.0) <= 0.1, f"Var W at (900, 30) = {var_900}"
@@ -292,8 +292,8 @@ def test_criterion_8_reproducibility(tmp_path):
         assert np.array_equal(hs_one.hs_norms, hs_four.hs_norms)
         assert np.array_equal(hs_one.term_c, hs_four.term_c)
 
-        w_one = replicate_map(lambda s, _: clt_w_statistic(900, 30, s).w, 400, 42, threads=1)
-        w_four = replicate_map(lambda s, _: clt_w_statistic(900, 30, s).w, 400, 42, threads=4)
+        w_one = replicate_map(lambda s, _: clt_w_statistic(900, 30, s), 400, 42, threads=1)
+        w_four = replicate_map(lambda s, _: clt_w_statistic(900, 30, s), 400, 42, threads=4)
         assert np.array_equal(w_one, w_four)
 
         def corner_trace(stream, _):

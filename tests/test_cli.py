@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import tempfile
@@ -368,6 +369,18 @@ class TestBenchmarkHooks:
             assert callable(getattr(cli_module, name, None)), name
         assert cli_module.moments.__name__ == "haargauss.moments"
         assert callable(getattr(limits_module, "ks_statistic", None))
+        # the traced run swaps cli.moments for a proxy holding only the names
+        # in moments.__all__, so every moments.<attr> the CLI reads must be there
+        tree = ast.parse(Path(cli_module.__file__).read_text(encoding="utf-8"))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "moments"
+        }
+        assert read, "no moments.<attr> reads found in cli.py"
+        assert read <= set(cli_module.moments.__all__), read - set(cli_module.moments.__all__)
 
     def test_layer_names_exist(self):
         # the traced benchmark times these layer functions directly, and its

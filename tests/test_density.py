@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from haargauss import (
     Dims,
@@ -10,15 +13,12 @@ from haargauss import (
     UnsupportedRegimeError,
     log_kn_asymptotic,
     log_kn_exact,
-    log_kn_prime_and_ln_prime,
-    log_likelihood_ratio,
     log_ln,
-    log_wishart_constant,
     replicate_map,
 )
 from haargauss.density import _log_kn_asymptotic_raw, _log_kn_exact_raw
 
-from conftest import assert_within_se, mean_and_se
+from conftest import assert_within_se, log_wishart_constant, mean_and_se
 
 
 class TestWishartConstant:
@@ -118,12 +118,44 @@ class TestLogLn:
             log_ln(np.zeros((2, 3)), Dims(10, 3, 2))
 
 
+@st.composite
+def _blocks(draw):
+    """(z, n, p, q): a p x q block with entries in [-2 sqrt(n), 2 sqrt(n)]."""
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, n))
+    q = draw(st.integers(1, n))
+    bound = 2.0 * math.sqrt(n)
+    z = draw(arrays(np.float64, (p, q), elements=st.floats(-bound, bound)))
+    return z, n, p, q
+
+
+class TestLogLnProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_blocks())
+    def test_transpose_invariance(self, block):
+        z, n, p, q = block
+        a = log_ln(z, Dims(n, p, q))
+        b = log_ln(z.T, Dims(n, q, p))
+        if a == NEG_INFINITY or b == NEG_INFINITY:
+            assert a == b
+        else:
+            assert math.isclose(a, b, rel_tol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_blocks())
+    def test_minus_infinity_exactly_outside_support(self, block):
+        z, n, p, q = block
+        top = float(np.linalg.eigvalsh(z.T @ z)[-1]) / n
+        assume(abs(top - 1.0) > 1e-6)
+        assert (log_ln(z, Dims(n, p, q)) == NEG_INFINITY) == (top > 1.0)
+
+
 class TestLogLikelihoodRatio:
     def test_change_of_measure_normalization(self):
         # E over Gaussian blocks of exp(log ratio) is 1
         d = Dims(200, 5, 3)
         vals = replicate_map(
-            lambda s, _: float(np.exp(log_likelihood_ratio(s.standard_normal((5, 3)), d))),
+            lambda s, _: float(np.exp(log_kn_exact(d).log_kn + log_ln(s.standard_normal((5, 3)), d))),
             6000,
             201,
         )
@@ -134,15 +166,15 @@ class TestLogLikelihoodRatio:
         d = Dims(9, 4, 1)
         z = np.zeros((4, 1))
         z[0, 0] = 3.5
-        assert log_likelihood_ratio(z, d) == NEG_INFINITY
+        assert log_kn_exact(d).log_kn + log_ln(z, d) == NEG_INFINITY
 
     def test_transpose_swap_invariance(self):
         d = Dims(60, 8, 5)
         d_t = Dims(60, 5, 8)
         for index in range(5):
             z = RngStream(202, index).standard_normal((8, 5))
-            a = log_likelihood_ratio(z, d)
-            b = log_likelihood_ratio(z.T, d_t)
+            a = log_kn_exact(d).log_kn + log_ln(z, d)
+            b = log_kn_exact(d_t).log_kn + log_ln(z.T, d_t)
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_asymptotic_mode(self):
@@ -154,23 +186,13 @@ class TestLogLikelihoodRatio:
 
 
 class TestPrimedParts:
-    def test_sum_identity(self):
-        d = Dims(80, 10, 6)
-        kn = log_kn_exact(d)
-        for index in range(5):
-            z = RngStream(204, index).standard_normal((10, 6))
-            primed = log_kn_prime_and_ln_prime(z, d)
-            total = primed.log_kn_prime + primed.log_ln_prime
-            assert total == pytest.approx(kn.log_kn + log_ln(z, d), abs=1e-9)
-
     def test_rectangular_regime_log_ratio_law(self):
-        # q/p small and pq/n = 1: log(K' L') approaches N(-1/8, 1/4)
+        # q/p small and pq/n = 1: the log ratio approaches N(-1/8, 1/4)
         d = Dims(62_500, 2500, 25)
 
         def one(stream, _):
             z = stream.standard_normal((2500, 25))
-            primed = log_kn_prime_and_ln_prime(z, d)
-            return primed.log_kn_prime + primed.log_ln_prime
+            return log_kn_exact(d).log_kn + log_ln(z, d)
 
         vals = replicate_map(one, 1500, 205)
         mean, se = mean_and_se(vals)
@@ -186,7 +208,7 @@ class TestPrimedParts:
         d = Dims(400, 8, 4)
 
         def one(stream, _):
-            lr = log_likelihood_ratio(stream.standard_normal((8, 4)), d)
+            lr = log_kn_exact(d).log_kn + log_ln(stream.standard_normal((8, 4)), d)
             if lr == NEG_INFINITY:
                 return 0.0
             return float(np.exp(np.float64(lr)) * lr)

@@ -8,9 +8,7 @@ from haargauss import (
     RngStream,
     clt_w_statistic,
     clt_w_statistic_p1,
-    eigen_concentration,
     half_normal_cdf,
-    hs_sample,
     replicate_map,
     run_hs_experiment,
     sigma_trace_sums,
@@ -26,9 +24,8 @@ class TestHsSample:
     def test_decomposition_identity(self, n, p, q):
         d = Dims(n, p, q)
         for index in range(4):
-            s = hs_sample(d, RngStream(301, index))
-            total = s.term_ab + s.term_c + s.cross
-            assert s.hs_norm**2 == pytest.approx(total, abs=1e-8)
+            hs_norm, term_ab, term_c, cross = _hs_terms(d, RngStream(301, index))
+            assert hs_norm**2 == pytest.approx(term_ab + term_c + cross, abs=1e-8)
 
     def test_cross_term_bounded(self):
         # the bound check runs inside _hs_terms; surviving a batch of draws
@@ -40,21 +37,19 @@ class TestHsSample:
     def test_q1_shrink_formula(self):
         d = Dims(64, 16, 1)
         for index in range(5):
-            stream = RngStream(303, index)
             y = RngStream(303, index).standard_normal((64, 1))
-            s = hs_sample(d, stream)
+            hs_norm = _hs_terms(d, RngStream(303, index))[0]
             norm = float(np.linalg.norm(y))
             expected = abs(math.sqrt(64) / norm - 1.0) * float(np.linalg.norm(y[:16]))
-            assert s.hs_norm == pytest.approx(expected, abs=1e-10)
+            assert hs_norm == pytest.approx(expected, abs=1e-10)
 
     def test_full_square_definition(self):
         # p = q = n: the statistic is the norm of the full coupled difference
         d = Dims(12, 12, 12)
-        stream = RngStream(304, 0)
         y = RngStream(304, 0).standard_normal((12, 12))
         expected = float(np.linalg.norm(math.sqrt(12) * explicit_q(y) - y))
-        s = hs_sample(d, stream)
-        assert s.hs_norm == pytest.approx(expected, abs=1e-8)
+        hs_norm = _hs_terms(d, RngStream(304, 0))[0]
+        assert hs_norm == pytest.approx(expected, abs=1e-8)
 
 
 class TestHsExperiment:
@@ -88,7 +83,7 @@ class TestHsExperiment:
 
 class TestCltStatistic:
     def test_centered(self):
-        vals = replicate_map(lambda s, _: clt_w_statistic(200, 10, s).w, 4000, 309)
+        vals = replicate_map(lambda s, _: clt_w_statistic(200, 10, s), 4000, 309)
         mean, se = mean_and_se(vals)
         assert_within_se(mean, 0.0, se, k=4, label="mean W")
 
@@ -96,7 +91,7 @@ class TestCltStatistic:
         # exact second moment from the Wishart trace identities:
         # Var W = (q-1)(p+2q-1)/(pq)
         p, q = 120, 12
-        vals = replicate_map(lambda s, _: clt_w_statistic(p, q, s).w, 6000, 310)
+        vals = replicate_map(lambda s, _: clt_w_statistic(p, q, s), 6000, 310)
         var, se = variance_and_se(vals)
         expected = (q - 1) * (p + 2 * q - 1) / (p * q)
         assert_within_se(var, expected, se, k=4, label="Var W")
@@ -127,23 +122,3 @@ class TestCltStatistic:
     def test_figure_grid_constant(self):
         assert len(FIGURE_GRID) == 6
         assert FIGURE_GRID[-1] == (10000, 100)
-
-
-class TestEigenConcentration:
-    def test_thin_case_deviations_small(self):
-        result = eigen_concentration(4000, 40, 100, 313)
-        q95 = float(np.quantile(result.max_dev_samples, 0.95))
-        assert q95 < 0.35
-
-    def test_square_case_deviations_large(self):
-        result = eigen_concentration(100, 100, 12, 314)
-        assert float(np.quantile(result.max_dev_samples, 0.95)) > 0.5
-
-    def test_single_column_reduces_to_chi_square(self):
-        result = eigen_concentration(4000, 1, 400, 315)
-        mean, _ = mean_and_se(result.max_dev_samples)
-        assert mean < 0.05
-
-    def test_q_larger_than_p_rejected(self):
-        with pytest.raises(ValueError):
-            eigen_concentration(5, 10, 10, 0)

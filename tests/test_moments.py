@@ -5,9 +5,7 @@ import pytest
 from haargauss import (
     Dims,
     MonomialPattern,
-    bilinear_fourth_moment,
     chi_square_central_stats,
-    chi_square_moment,
     dirichlet_moment,
     double_factorial,
     entry_monomial_moment,
@@ -136,11 +134,6 @@ class TestTracePowerMoment:
 
 
 class TestChiSquare:
-    def test_moments(self):
-        assert chi_square_moment(1, 2) == 3
-        assert chi_square_moment(3, 2) == 15
-        assert chi_square_moment(5, 1) == 5
-
     def test_central_stats(self):
         stats1 = chi_square_central_stats(1)
         assert stats1.var == 2
@@ -151,8 +144,6 @@ class TestChiSquare:
         assert stats2.var_sq == 320
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            chi_square_moment(0, 1)
         with pytest.raises(ValueError):
             chi_square_central_stats(0)
 
@@ -186,14 +177,3 @@ class TestSigmaTraceSums:
         for n, p in ((10, 2), (30, 7), (100, 40)):
             expected = p * dirichlet_moment(n, (2,)) + p * (p - 1) * dirichlet_moment(n, (1, 1))
             assert sigma_trace_sums(Dims(n, p, 2)).sum_e_tr2 == expected
-
-
-class TestBilinearFourthMoment:
-    def test_values(self):
-        assert bilinear_fourth_moment(1.0) == 3.0
-        assert bilinear_fourth_moment(0.0) == 1.0
-        assert bilinear_fourth_moment(0.5) == 1.5
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            bilinear_fourth_moment(1.5)

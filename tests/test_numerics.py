@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from haargauss import (
     RngStream,
     cholesky_logdet,
     ks_statistic,
-    log_gamma,
     normal_cdf,
 )
 
@@ -37,23 +34,6 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
-
-
-class TestLogGamma:
-    def test_reference_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert log_gamma(11.0) == pytest.approx(math.log(3628800.0), rel=1e-14)
-
-    def test_recurrence_on_grid(self):
-        for x in np.arange(0.5, 50.0, 0.5):
-            lhs = log_gamma(x + 1.0) - log_gamma(x)
-            assert abs(lhs - math.log(x)) <= 1e-12
-
-    def test_domain(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
 
 
 class TestNormalCdf:

@@ -22,7 +22,6 @@ class TestDims:
     def test_valid(self):
         d = Dims(10, 2, 3)
         assert (d.n, d.p, d.q) == (10, 2, 3)
-        assert d.distance_sigma == pytest.approx(0.6)
         assert d.coupling_sigma == pytest.approx(1.8)
 
     @pytest.mark.parametrize("n,p,q", [(10, 0, 3), (10, 11, 3), (10, 2, 0), (10, 2, 11)])
