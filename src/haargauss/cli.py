@@ -3,7 +3,7 @@
 
 Every run gets a fresh directory containing the config echo, deterministic
 result files, wall-clock timings, and any artifacts.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 configuration error.
+checks pass, 1 a result row has status FAIL, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import typing
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -50,6 +50,8 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run", "main"]
 DEFAULT_REPLICATES = 10_000
 DISTANCE_KINDS = ("tv", "kl", "hellinger", "all")
 SAMPLE_KINDS = ("gaussian", "haar", "coupled")
+# the allowed values of each config field that takes one of a few strings
+CHOICES = {"format": ("csv", "json"), "kind": DISTANCE_KINDS, "sample_kind": SAMPLE_KINDS}
 # random streams are keyed by an unsigned 64-bit seed
 SEED_LIMIT = 2**64
 
@@ -82,10 +84,14 @@ class ExperimentConfig:
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
+# a command's output: one result row and the names of the artifacts it wrote
+Rows = Iterator[tuple[dict, list[str]]]
+
+
 @dataclass(frozen=True)
 class Command:
     """One subcommand: its help text, the header of its result file, the
-    function that runs it and returns the result records, and its own flags.
+    generator that runs it and yields its rows, and its own flags.
 
     A command that ``needs_grid`` takes its points from --n/--p/--q or the
     config grid; with ``pq_grid`` a point may omit n (it defaults to
@@ -94,7 +100,7 @@ class Command:
 
     help: str
     header: tuple[str, ...]
-    rows: Callable[[ExperimentConfig, Path, TextIO], list[ResultRecord]]
+    rows: Callable[[ExperimentConfig, Path, TextIO], Rows]
     flags: dict = field(default_factory=dict)
     needs_grid: bool = True
     pq_grid: bool = False
@@ -117,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--output-dir", type=Path, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=CHOICES["format"], default=None)
         for flag, options in command.flags.items():
             p.add_argument(flag, default=None, **options)
     return parser
@@ -144,24 +150,21 @@ def _strict_int(name: str, value) -> int:
     return value
 
 
-def _dims(n: int, p: int, q: int) -> Dims:
-    try:
-        return Dims(n=n, p=p, q=q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _grid_from_payload(raw: list, command: Command) -> list[Dims]:
+    """Grid points from the config's ``grid`` list or from --n/--p/--q."""
     grid = []
     for item in raw:
         if not isinstance(item, dict):
             raise ConfigError(f"grid entries must be objects, got {item!r}")
         if "p" not in item or "q" not in item or ("n" not in item and not command.pq_grid):
-            raise ConfigError(f"grid entry needs n, p and q, got {item!r}")
+            raise ConfigError(f"a grid point needs p, q and (except for clt) n, got {item!r}")
         p = _strict_int("grid entry p", item["p"])
         q = _strict_int("grid entry q", item["q"])
         n = _strict_int("grid entry n", item["n"]) if "n" in item else max(p, q)
-        grid.append(_dims(n, p, q))
+        try:
+            grid.append(Dims(n=n, p=p, q=q))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return grid
 
 
@@ -214,13 +217,9 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         if flag is not None:
             setattr(config, f.name, flag)
 
-    if any(v is not None for v in (args.n, args.p, args.q)):
-        if args.p is None or args.q is None:
-            raise ConfigError("--p and --q must be given together")
-        if args.n is None and not command.pq_grid:
-            raise ConfigError("--n is required for this command")
-        n = args.n if args.n is not None else max(args.p, args.q)
-        config.grid = [_dims(n, args.p, args.q)]
+    point = {k: getattr(args, k) for k in ("n", "p", "q") if getattr(args, k) is not None}
+    if point:
+        config.grid = _grid_from_payload([point], command)
 
     _validate(config, command)
     return config
@@ -238,14 +237,11 @@ def _validate(config: ExperimentConfig, command: Command) -> None:
         thread_count(config.threads)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {config.format!r}")
-    if config.kind not in DISTANCE_KINDS:
-        raise ConfigError(f"kind must be one of {', '.join(DISTANCE_KINDS)}, got {config.kind!r}")
-    if config.sample_kind not in SAMPLE_KINDS:
-        raise ConfigError(
-            f"sample kind must be one of {', '.join(SAMPLE_KINDS)}, got {config.sample_kind!r}"
-        )
+    for name, allowed in CHOICES.items():
+        if getattr(config, name) not in allowed:
+            raise ConfigError(
+                f"{name} must be one of {', '.join(allowed)}, got {getattr(config, name)!r}"
+            )
     if command.needs_grid and not config.grid and not figure_grid:
         raise ConfigError(f"command {config.command!r} needs --n/--p/--q or a config grid")
     # the overlap statistic needs two rows and two columns
@@ -269,16 +265,19 @@ class ResultRecord:
     row: dict
     elapsed_ms: float
     artifacts: list[str] = field(default_factory=list)
-    status: str = "ok"
+
+
+def _point(config: ExperimentConfig, d: Dims, **columns) -> dict:
+    """The columns every grid-point row shares, then the command's own."""
+    return {"n": d.n, "p": d.p, "q": d.q, "N": config.replicates, "seed": config.master_seed,
+            **columns}
 
 
 def _write_results(run_dir: Path, config: ExperimentConfig, header: tuple[str, ...], records: list[ResultRecord]) -> None:
     if config.format == "csv":
-        write_csv(run_dir / "results.csv", header, [[rec.row.get(h) for h in header] for rec in records])
+        write_csv(run_dir / "results.csv", header, [[rec.row[h] for h in header] for rec in records])
     else:
-        write_json(run_dir / "results.json", [
-            {h: rec.row.get(h) for h in header} for rec in records
-        ])
+        write_json(run_dir / "results.json", [{h: rec.row[h] for h in header} for rec in records])
     write_json(
         run_dir / "timing.json",
         [{"index": i, "elapsed_ms": rec.elapsed_ms} for i, rec in enumerate(records)],
@@ -300,10 +299,8 @@ def _histogram_artifacts(
     ]
 
 
-def _cmd_sample(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
-    records = []
+def _cmd_sample(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
     for g_index, d in enumerate(config.grid):
-        start = time.perf_counter()
         stream = RngStream(config.master_seed, g_index)
         if config.sample_kind == "coupled":
             pair = sample_coupled_pair(d, stream)
@@ -315,22 +312,7 @@ def _cmd_sample(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[Re
         artifacts = [
             dump_matrix_csv(m, run_dir / f"{stem}-{g_index}.csv").name for stem, m in blocks.items()
         ]
-        elapsed = (time.perf_counter() - start) * 1000.0
-        records.append(
-            ResultRecord(
-                row={
-                    "n": d.n,
-                    "p": d.p,
-                    "q": d.q,
-                    "kind": config.sample_kind,
-                    "seed": config.master_seed,
-                    "artifacts": ";".join(artifacts),
-                },
-                elapsed_ms=elapsed,
-                artifacts=artifacts,
-            )
-        )
-    return records
+        yield _point(config, d, kind=config.sample_kind, artifacts=";".join(artifacts)), artifacts
 
 
 def _moment_rows(d: Dims) -> list[tuple[str, Fraction]]:
@@ -342,20 +324,16 @@ def _moment_rows(d: Dims) -> list[tuple[str, Fraction]]:
             continue
     for k in (1, 2, 3):
         rows.append((f"trace_power_{k}", moments.trace_power_moment(k, d)))
-    wishart = moments.wishart_trace_stats(d.p, d.q)
-    rows.append(("wishart_e_tr2", wishart.e_tr2))
-    rows.append(("wishart_var_tr2", wishart.var_tr2))
-    rows.append(("wishart_cov_tr_tr2", wishart.cov_tr_tr2))
-    sums = moments.sigma_trace_sums(d)
-    rows.append(("projector_sum_e_tr", sums.sum_e_tr))
-    rows.append(("projector_sum_e_tr2", sums.sum_e_tr2))
+    for prefix, stats in (
+        ("wishart", moments.wishart_trace_stats(d.p, d.q)),
+        ("projector", moments.sigma_trace_sums(d)),
+    ):
+        rows += [(f"{prefix}_{f.name}", getattr(stats, f.name)) for f in fields(stats)]
     return rows
 
 
-def _cmd_moments(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
-    records = []
+def _cmd_moments(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
     for d in config.grid:
-        start = time.perf_counter()
         for name, value in _moment_rows(d):
             try:
                 decimal = f"{float(value):.17g}"
@@ -366,43 +344,18 @@ def _cmd_moments(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[R
                 f"{value.numerator}/{value.denominator} = {decimal}",
                 file=out,
             )
-            records.append(
-                ResultRecord(
-                    row={
-                        "n": d.n,
-                        "p": d.p,
-                        "q": d.q,
-                        "quantity": name,
-                        "numerator": value.numerator,
-                        "denominator": value.denominator,
-                        "decimal": decimal,
-                    },
-                    elapsed_ms=0.0,
-                )
-            )
-        records[-1].elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return records
+            row = _point(config, d, quantity=name, numerator=value.numerator,
+                         denominator=value.denominator, decimal=decimal)
+            yield row, []
 
 
-def _cmd_distance(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
+def _cmd_distance(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
     kinds = DISTANCE_KINDS[:-1] if config.kind == "all" else (config.kind,)
     # looked up at call time, so the module names stay patchable
     estimators = {"tv": estimate_tv, "kl": estimate_kl, "hellinger": estimate_hellinger}
-    records = []
     for d in config.grid:
         for kind in kinds:
-            start = time.perf_counter()
-            row = {
-                "n": d.n,
-                "p": d.p,
-                "q": d.q,
-                "kind": kind,
-                "N": config.replicates,
-                "seed": config.master_seed,
-                "mean": None,
-                "std_error": None,
-                "status": "ok",
-            }
+            row = _point(config, d, kind=kind, mean=None, std_error=None, status="ok")
             try:
                 est = estimators[kind](
                     d, config.replicates, config.master_seed, threads=config.threads
@@ -413,15 +366,14 @@ def _cmd_distance(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[
                 row["status"] = "NO_DRAW_IN_SUPPORT"
             except UnsupportedRegimeError:
                 row["status"] = "UNSUPPORTED_REGIME"
-            elapsed = (time.perf_counter() - start) * 1000.0
-            records.append(ResultRecord(row=row, elapsed_ms=elapsed, status=row["status"]))
-    return records
+            except RuntimeError as exc:  # a corner outside the support or a degenerate pivot
+                print(f"error: {kind} at n={d.n} p={d.p} q={d.q}: {exc}", file=sys.stderr)
+                row["status"] = "FAIL"
+            yield row, []
 
 
-def _cmd_coupling(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
-    records = []
+def _cmd_coupling(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
     for g_index, d in enumerate(config.grid):
-        start = time.perf_counter()
         result = run_hs_experiment(d, config.replicates, config.master_seed, threads=config.threads)
         if d.q == 1:
             scale = math.sqrt(d.p / d.n / 2.0)
@@ -431,72 +383,35 @@ def _cmd_coupling(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[
         artifacts = _histogram_artifacts(
             run_dir, f"coupling-hs-{g_index}", result.hs_norms, overlay, lo=0.0, hi=hi
         )
-        elapsed = (time.perf_counter() - start) * 1000.0
-        records.append(
-            ResultRecord(
-                row={
-                    "n": d.n,
-                    "p": d.p,
-                    "q": d.q,
-                    "N": config.replicates,
-                    "seed": config.master_seed,
-                    "mean_hs": result.mean,
-                    "mean_hs_sq": result.mean_sq,
-                    "hs_sq_bound": result.hs_sq_bound,
-                    "sigma": result.sigma,
-                    "ks_half_normal": result.ks_vs_half_normal,
-                    "status": "ok",
-                },
-                elapsed_ms=elapsed,
-                artifacts=artifacts,
-            )
-        )
-    return records
+        row = _point(config, d, mean_hs=result.mean, mean_hs_sq=result.mean_sq,
+                     hs_sq_bound=result.hs_sq_bound, sigma=result.sigma,
+                     ks_half_normal=result.ks_vs_half_normal, status="ok")
+        yield row, artifacts
 
 
-def _clt_record(
-    config: ExperimentConfig, run_dir: Path, stem: str, p: int, q: int, samples: np.ndarray, ks: float
-) -> ResultRecord:
-    return ResultRecord(
-        row={
-            "p": p,
-            "q": q,
-            "N": samples.size,
-            "seed": config.master_seed,
-            "mean_w": float(np.mean(samples)),
-            "var_w": float(np.var(samples, ddof=1)),
-            "ks_normal": ks,
-        },
-        elapsed_ms=0.0,
-        artifacts=_histogram_artifacts(run_dir, stem, samples, Overlay("normal")),
-    )
-
-
-def _cmd_clt(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
-    records = []
+def _clt_points(config: ExperimentConfig) -> Iterator[tuple[str, Dims, np.ndarray, float]]:
+    """(histogram stem, grid point, W draws, KS distance to the normal) of
+    each clt point; the figure grid is sampled whole before its first point."""
     if config.figure_grid:
-        start = time.perf_counter()
-        points = clt_figure_grid(config.master_seed, threads=config.threads)
-        per_point = (time.perf_counter() - start) * 1000.0 / len(points)
-        for point in points:
-            stem = f"clt-hist-p{point.p}-q{point.q}"
-            record = _clt_record(config, run_dir, stem, point.p, point.q, point.w_samples, point.ks_normal)
-            record.elapsed_ms = per_point
-            records.append(record)
-        return records
+        for pt in clt_figure_grid(config.master_seed, threads=config.threads):
+            d = Dims(max(pt.p, pt.q), pt.p, pt.q)
+            yield f"clt-hist-p{pt.p}-q{pt.q}", d, pt.w_samples, pt.ks_normal
+        return
     for g_index, d in enumerate(config.grid):
-        start = time.perf_counter()
         samples = replicate_map(
             lambda stream, _: clt_w_statistic(d.p, d.q, stream),
             config.replicates,
             config.master_seed,
             threads=config.threads,
         )
-        ks = ks_statistic(samples, normal_cdf)
-        record = _clt_record(config, run_dir, f"clt-hist-{g_index}", d.p, d.q, samples, ks)
-        record.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        records.append(record)
-    return records
+        yield f"clt-hist-{g_index}", d, samples, ks_statistic(samples, normal_cdf)
+
+
+def _cmd_clt(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
+    for stem, d, samples, ks in _clt_points(config):
+        row = _point(config, d, N=samples.size, mean_w=float(np.mean(samples)),
+                     var_w=float(np.var(samples, ddof=1)), ks_normal=ks)
+        yield row, _histogram_artifacts(run_dir, stem, samples, Overlay("normal"))
 
 
 def _verify_checks() -> list[tuple[str, int, bool]]:
@@ -553,19 +468,11 @@ def _verify_checks() -> list[tuple[str, int, bool]]:
     return [(name, len(cases), all(map(holds, cases))) for name, cases, holds in table]
 
 
-def _cmd_verify(config: ExperimentConfig, run_dir: Path, out: TextIO) -> list[ResultRecord]:
-    records = []
+def _cmd_verify(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
     for name, cases, ok in _verify_checks():
         status = "pass" if ok else "FAIL"
         print(f"[verify] {name} ({cases} cases): {status}", file=out)
-        records.append(
-            ResultRecord(
-                row={"check": name, "cases": cases, "status": status},
-                elapsed_ms=0.0,
-                status=status,
-            )
-        )
-    return records
+        yield {"check": name, "cases": cases, "status": status}, []
 
 
 COMMANDS: dict[str, Command] = {
@@ -573,7 +480,7 @@ COMMANDS: dict[str, Command] = {
         "draw and dump matrices",
         ("n", "p", "q", "kind", "seed", "artifacts"),
         _cmd_sample,
-        flags={"--kind": {"choices": SAMPLE_KINDS, "dest": "sample_kind"}},
+        flags={"--kind": {"choices": CHOICES["sample_kind"], "dest": "sample_kind"}},
     ),
     "moments": Command(
         "print exact closed-form moments",
@@ -584,7 +491,7 @@ COMMANDS: dict[str, Command] = {
         "Monte Carlo distance estimates",
         ("n", "p", "q", "kind", "N", "seed", "mean", "std_error", "status"),
         _cmd_distance,
-        flags={"--kind": {"choices": DISTANCE_KINDS}},
+        flags={"--kind": {"choices": CHOICES["kind"]}},
     ),
     "coupling": Command(
         "coupled Hilbert-Schmidt experiments",
@@ -610,17 +517,26 @@ COMMANDS: dict[str, Command] = {
 
 def run(config: ExperimentConfig, out=None) -> tuple[Path, list[ResultRecord], int]:
     """Execute a parsed config; returns the run directory, the records, and
-    the exit code: 1 when any record has status FAIL, else 0."""
+    the exit code: 1 when any row has status FAIL, else 0.
+
+    A record's ``elapsed_ms`` is the wall-clock from the previous record, or
+    from the start of the command, to this one.
+    """
     out = out if out is not None else sys.stdout
     command = COMMANDS.get(config.command)
     if command is None:
         raise ConfigError(f"unknown command {config.command!r}")
     run_dir = make_run_directory(config.output_dir, config.command, config.master_seed)
     write_json(run_dir / "config.json", config.echo())
-    records = command.rows(config, run_dir, out)
+    records = []
+    start = time.perf_counter()
+    for row, artifacts in command.rows(config, run_dir, out):
+        now = time.perf_counter()
+        records.append(ResultRecord(row, (now - start) * 1000.0, artifacts))
+        start = now
     _write_results(run_dir, config, command.header, records)
     print(f"[haargauss] {config.command}: {len(records)} record(s) in {run_dir}", file=out)
-    code = 1 if any(rec.status == "FAIL" for rec in records) else 0
+    code = 1 if any(rec.row.get("status") == "FAIL" for rec in records) else 0
     return run_dir, records, code
 
 

@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import math
 import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import fields
@@ -141,8 +142,10 @@ class TestMainExitCodes:
         ("distance", {"replicates": 2.7}, []),
         ("clt", {"grid": []}, ["--figure-grid", "--seed", str(2**64 - 5)]),
         ("clt", {}, ["--p", "1", "--q", "5", "-N", "10"]),
+        ("distance", {}, ["--p", "3"]),
+        ("distance", {}, ["--p", "3", "--q", "2"]),
     ], ids=["grid-int", "seed-2^64", "N-1", "replicates-float", "figure-grid-seed-offset",
-            "clt-p-1"])
+            "clt-p-1", "p-without-q", "pq-without-n"])
     def test_bad_input_is_2_without_a_run(self, tmp_path, capsys, command, payload, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": [{"n": 60, "p": 3, "q": 2}], **payload}))
@@ -220,6 +223,22 @@ class TestDistanceCommand:
             outputs.append((_run_dir_of(base) / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("argv, names", [
+        (["clt", "--p", "60", "--q", "8", "-N", "300"],
+         ("results.csv", "clt-hist-0.csv", "clt-hist-0.svg")),
+        (["coupling", "--n", "500", "--p", "20", "--q", "5", "-N", "100"],
+         ("results.csv", "coupling-hs-0.csv", "coupling-hs-0.svg")),
+    ], ids=["clt", "coupling"])
+    def test_thread_count_invariance_other_commands(self, tmp_path, argv, names):
+        outputs = []
+        for threads in (1, 2):
+            base = tmp_path / str(threads)
+            code = main([*argv, "--seed", "3", "--threads", str(threads),
+                         "--output-dir", str(base)])
+            assert code == 0
+            outputs.append({name: (_run_dir_of(base) / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1]
+
     def test_json_format(self, tmp_path):
         code = main(["distance", "--n", "60", "--p", "3", "--q", "2", "-N", "40",
                      "--kind", "kl", "--format", "json", "--output-dir", str(tmp_path)])
@@ -227,6 +246,36 @@ class TestDistanceCommand:
         payload = json.loads((_run_dir_of(tmp_path) / "results.json").read_text())
         assert payload[0]["kind"] == "kl"
         assert isinstance(payload[0]["mean"], float)
+
+    def test_estimator_abort_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
+        import haargauss.distances as distances
+
+        # every corner sample now lands outside the support: the KL abort
+        monkeypatch.setattr(distances, "log_ln", lambda point, d: float("-inf"))
+        code = main(["distance", "--n", "60", "--p", "3", "--q", "2", "--kind", "kl",
+                     "-N", "10", "--output-dir", str(tmp_path)])
+        assert code == 1
+        lines = (_run_dir_of(tmp_path) / "results.csv").read_text().splitlines()
+        assert lines[1:] == ["60,3,2,kl,10,0,,,FAIL"]
+        assert "support" in capsys.readouterr().err
+
+
+class TestTimingFile:
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "12", "--p", "4", "--q", "3"],
+        ["moments", "--n", "10", "--p", "2", "--q", "3"],
+        ["distance", "--n", "60", "--p", "3", "--q", "2", "--kind", "all", "-N", "20"],
+        ["coupling", "--n", "50", "--p", "5", "--q", "2", "-N", "20"],
+        ["clt", "--p", "20", "--q", "4", "-N", "20"],
+    ], ids=["sample", "moments", "distance", "coupling", "clt"])
+    def test_one_finite_entry_per_row(self, tmp_path, argv):
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+        run_dir = _run_dir_of(tmp_path)
+        rows = (run_dir / "results.csv").read_text().splitlines()[1:]
+        timing = json.loads((run_dir / "timing.json").read_text())
+        assert [entry["index"] for entry in timing] == list(range(len(rows)))
+        for entry in timing:
+            assert math.isfinite(entry["elapsed_ms"]) and entry["elapsed_ms"] >= 0
 
 
 class TestSampleCommand:
@@ -381,6 +430,31 @@ class TestBenchmarkHooks:
         }
         assert read, "no moments.<attr> reads found in cli.py"
         assert read <= set(cli_module.moments.__all__), read - set(cli_module.moments.__all__)
+
+    def test_cli_calls_through_module_globals(self, tmp_path, monkeypatch):
+        # the traced run replaces these cli attributes; the commands must
+        # look them up at call time, or its spans stay empty
+        import haargauss.cli as cli_module
+
+        names = ("estimate_tv", "estimate_hellinger", "estimate_kl", "run_hs_experiment",
+                 "replicate_map", "ks_statistic", "make_run_directory", "write_csv",
+                 "write_json", "write_histogram_csv", "emit_svg_histogram",
+                 "histogram_with_overflow")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(cli_module, name, counting(name, getattr(cli_module, name)))
+        for argv in (["distance", "--n", "60", "--p", "3", "--q", "2", "--kind", "all"],
+                     ["coupling", "--n", "50", "--p", "5", "--q", "2"],
+                     ["clt", "--p", "20", "--q", "4"]):
+            assert main([*argv, "-N", "20", "--output-dir", str(tmp_path / argv[0])]) == 0
+        assert all(calls.values()), [name for name, count in calls.items() if not count]
 
     def test_layer_names_exist(self):
         # the traced benchmark times these layer functions directly, and its
