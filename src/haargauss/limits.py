@@ -12,7 +12,7 @@ import numpy as np
 
 from .numerics import RngStream, ks_statistic, normal_cdf
 from .parallel import replicate_map
-from .sampling import Dims, _orthonormal_rows, _triangular_factor
+from .sampling import Dims, _haar_factor, _haar_rows, _wishart_rows
 
 __all__ = [
     "FIGURE_GRID",
@@ -46,15 +46,15 @@ def half_normal_cdf(x: float, scale: float = 1.0) -> float:
     return 2.0 * normal_cdf(x / scale) - 1.0
 
 
-def _hs_terms(d: Dims, stream: RngStream) -> tuple[float, float, float, float]:
-    """One coupled draw: (hs_norm, term_ab, term_c, cross), the per-draw
-    entries of :class:`HsExperimentResult`."""
-    y_top, r = _triangular_factor(stream.standard_normal((d.n, d.q)), d.p)
+def _hs_terms(d: Dims, y_top: np.ndarray, bottom: np.ndarray) -> tuple[float, float, float, float]:
+    """One coupled draw from top rows and the rows stacked under them (see
+    ``_haar_rows``): (hs_norm, term_ab, term_c, cross), the per-draw entries
+    of :class:`HsExperimentResult`."""
+    q_top, r = _haar_factor(y_top, bottom)
     root_n = math.sqrt(d.n)
 
     # column k of y is Q (R e_k): its residual length is R_kk and its
     # projection onto the previous columns is Q triu(R, 1) e_k
-    q_top = _orthonormal_rows(y_top, r)
     proj_top = q_top @ np.triu(r, 1)
 
     shrink = root_n - np.diagonal(r)
@@ -110,7 +110,7 @@ def run_hs_experiment(
     24 p q^2 / n, and for single-column blocks also the KS distance of the
     draws against the limiting half-normal with scale sqrt(p / (2n))."""
     values = replicate_map(
-        lambda stream, _: np.array(_hs_terms(d, stream)),
+        lambda stream, _: np.array(_hs_terms(d, *_haar_rows(d, stream))),
         replicates,
         master_seed,
         threads=threads,
@@ -138,13 +138,13 @@ def clt_w_statistic(p: int, q: int, stream: RngStream) -> float:
     """One draw of the centered, normalized off-diagonal Gram overlap
     statistic for a p x q standard Gaussian matrix.
 
-    Computed from the q x q Gram matrix in O(pq^2 + q^2) time; the sum of
-    squared off-diagonal overlaps is the squared Frobenius norm of the Gram
-    matrix minus its squared diagonal."""
+    W reads the matrix only through its Gram matrix, which is drawn in law
+    as B'B from Wishart rows in O(min(p, q) q^2) time; the squared
+    off-diagonal overlaps sum to its squared Frobenius norm minus diagonal."""
     if p < 2 or q < 2:
         raise ValueError(f"need p >= 2 and q >= 2, got p={p}, q={q}")
-    x = stream.standard_normal((p, q))
-    gram = x.T @ x
+    b = _wishart_rows(p, q, stream)
+    gram = b.T @ b
     fro_sq = float(np.einsum("ij,ij->", gram, gram))
     diag = np.diagonal(gram)
     off_sq = fro_sq - float(diag @ diag)

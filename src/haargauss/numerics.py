@@ -62,6 +62,9 @@ class RngStream:
     def standard_normal(self, shape) -> np.ndarray:
         return self.generator.standard_normal(shape)
 
+    def chi_square(self, df) -> np.ndarray:
+        return self.generator.chisquare(df)
+
     def __repr__(self) -> str:
         return (
             f"RngStream(master_seed={self.master_seed}, "

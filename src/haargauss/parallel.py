@@ -9,8 +9,6 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -22,29 +20,6 @@ from .numerics import RngStream
 __all__ = ["thread_count", "replicate_map"]
 
 THREADS_ENV_VAR = "HAARGAUSS_THREADS"
-
-# glibc mallopt numbers.  Blocks from MMAP_THRESHOLD_BYTES up get a mapping
-# of their own, returned when freed; an arena trims free top past twice that.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-MMAP_THRESHOLD_BYTES = 4 << 20
-
-
-@functools.cache
-def _pin_mmap_threshold() -> None:
-    """Fix glibc's mmap and trim thresholds; a no-op without ``mallopt``.
-
-    glibc slides the mmap threshold up to each large block freed, so later
-    ones come from the asking thread's arena, which may keep them resident;
-    with one arena per worker, peak memory then varied by one 12.5 MB block
-    between runs of the same 62500 x 25 coupling.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_BYTES)
-
 
 def thread_count(requested: int | None = None) -> int:
     """Worker count: explicit request, else HAARGAUSS_THREADS, else the
@@ -93,7 +68,6 @@ def replicate_map(
     else:
         chunk = max(1, -(-replicates // (workers * 4)))
         bounds = [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
-        _pin_mmap_threshold()
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_range, lo, hi) for lo, hi in bounds]
             for future in futures:

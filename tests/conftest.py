@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -79,6 +80,30 @@ def log_wishart_constant(s: float, t: int) -> float:
     for j in range(1, t + 1):
         log_inv += math.lgamma((s - j + 1) / 2.0)
     return -log_inv
+
+
+def exact_kl(n: int, p: int, q: int) -> float:
+    """KL(f || g) of the scaled n x n Haar corner against i.i.d. normals.
+
+    With Z'Z oriented on the smaller side (q <= p), the likelihood ratio is
+    K_n det(I - Z'Z)^{c_n} e^{n tr(Z'Z)/2}, c_n = (n - p - q - 1)/2, and
+    K_n = n^{-pq/2} w(n - p, q)/w(n, q).  Writing Z = Y_top R^-1 for an n x q
+    Gaussian Y = QR gives det(I - Z'Z) = det(Y_bot'Y_bot)/det(Y'Y), a ratio of
+    Wishart determinants with E ln det W_q(m) = q ln 2 + sum_i psi((m-i+1)/2),
+    and E tr(Z'Z) = pq/n, so
+    KL = ln K_n + c_n sum_{i=1}^q [psi((n-p-i+1)/2) - psi((n-i+1)/2)] + pq/2.
+    Evaluated in 40-digit arithmetic.
+    """
+    p, q = max(p, q), min(p, q)
+    with mpmath.workdps(40):
+        half = mpmath.mpf(1) / 2
+        log_kn = half * p * q * (mpmath.log(2) - mpmath.log(n))
+        psi_sum = mpmath.mpf(0)
+        for i in range(1, q + 1):
+            full, rest = half * (n - i + 1), half * (n - p - i + 1)
+            log_kn += mpmath.loggamma(full) - mpmath.loggamma(rest)
+            psi_sum += mpmath.digamma(rest) - mpmath.digamma(full)
+        return float(log_kn + half * (n - p - q - 1) * psi_sum + half * p * q)
 
 
 def explicit_q(y: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from haargauss import (
     tv_limit_lower_bound,
 )
 
-from conftest import gauss_legendre_expectation
+from conftest import assert_within_se, exact_kl, gauss_legendre_expectation
 
 
 class TestLimitOracles:
@@ -152,3 +152,13 @@ class TestEstimatorStatistics:
         est = estimate_kl(d, 64, 77)
         assert est.replicates == 64
         assert est.kind is DistanceKind.KL
+
+
+class TestKlOracle:
+    @pytest.mark.parametrize(
+        "n,p,q,replicates", [(1024, 32, 32, 4000), (60, 20, 7, 20_000), (400, 100, 1, 20_000)]
+    )
+    def test_estimate_within_se_of_exact(self, n, p, q, replicates):
+        d = Dims(n, p, q)
+        est = estimate_kl(d, replicates, 130)
+        assert_within_se(est.mean, exact_kl(n, p, q), est.std_error, k=4, label=f"KL at {d}")

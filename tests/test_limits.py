@@ -15,6 +15,7 @@ from haargauss import (
     wishart_trace_stats,
 )
 from haargauss.limits import FIGURE_GRID, _hs_terms
+from haargauss.sampling import _haar_rows
 
 from conftest import assert_within_se, explicit_q, mean_and_se, variance_and_se
 
@@ -24,7 +25,7 @@ class TestHsSample:
     def test_decomposition_identity(self, n, p, q):
         d = Dims(n, p, q)
         for index in range(4):
-            hs_norm, term_ab, term_c, cross = _hs_terms(d, RngStream(301, index))
+            hs_norm, term_ab, term_c, cross = _hs_terms(d, *_haar_rows(d, RngStream(301, index)))
             assert hs_norm**2 == pytest.approx(term_ab + term_c + cross, abs=1e-8)
 
     def test_cross_term_bounded(self):
@@ -32,13 +33,13 @@ class TestHsSample:
         # means every per-column cross term obeyed Cauchy-Schwarz
         d = Dims(100, 30, 8)
         for index in range(20):
-            _hs_terms(d, RngStream(302, index))
+            _hs_terms(d, *_haar_rows(d, RngStream(302, index)))
 
     def test_q1_shrink_formula(self):
         d = Dims(64, 16, 1)
         for index in range(5):
             y = RngStream(303, index).standard_normal((64, 1))
-            hs_norm = _hs_terms(d, RngStream(303, index))[0]
+            hs_norm = _hs_terms(d, y[:16], y[16:])[0]
             norm = float(np.linalg.norm(y))
             expected = abs(math.sqrt(64) / norm - 1.0) * float(np.linalg.norm(y[:16]))
             assert hs_norm == pytest.approx(expected, abs=1e-10)
@@ -48,7 +49,7 @@ class TestHsSample:
         d = Dims(12, 12, 12)
         y = RngStream(304, 0).standard_normal((12, 12))
         expected = float(np.linalg.norm(math.sqrt(12) * explicit_q(y) - y))
-        hs_norm = _hs_terms(d, RngStream(304, 0))[0]
+        hs_norm = _hs_terms(d, *_haar_rows(d, RngStream(304, 0)))[0]
         assert hs_norm == pytest.approx(expected, abs=1e-8)
 
 

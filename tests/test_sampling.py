@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +11,18 @@ from haargauss import (
     dump_matrix_csv,
     gram_schmidt_coupling,
     load_matrix_csv,
+    log_ln,
     replicate_map,
     sample_coupled_pair,
     sample_gaussian_matrix,
     sample_haar_submatrix,
+    trace_power_moment,
+    wishart_trace_stats,
 )
+from haargauss.limits import _hs_terms
+from haargauss.sampling import _haar_factor, _haar_rows, _wishart_rows
 
-from conftest import assert_within_se, explicit_q, mean_and_se
+from conftest import assert_within_se, explicit_q, mean_and_se, variance_and_se
 
 
 class TestDims:
@@ -83,11 +90,12 @@ class TestHaarSubmatrix:
 
     @pytest.mark.parametrize("n,p,q", [(1024, 32, 32), (2000, 1000, 1), (50, 5, 4)])
     def test_matches_explicit_q_oracle(self, n, p, q):
-        d = Dims(n, p, q)
+        # stacked on the full draw's own bottom rows, B = Y_bot, the kernel
+        # is Gram-Schmidt on Y itself
         for index in range(5):
-            z = sample_haar_submatrix(d, RngStream(110, index))
-            oracle = explicit_q(RngStream(110, index).standard_normal((n, q)))[:p]
-            assert np.max(np.abs(z - oracle)) <= 1e-12
+            y = RngStream(110, index).standard_normal((n, q))
+            z, _ = _haar_factor(y[:p], y[p:])
+            assert np.max(np.abs(z - explicit_q(y)[:p])) <= 1e-12
 
     @pytest.mark.parametrize("n", [12, 30])
     def test_square_corners_orthogonal(self, n):
@@ -104,6 +112,105 @@ class TestHaarSubmatrix:
         )
         mean, se = mean_and_se(vals)
         assert_within_se(mean, 3.0 / 8.0, se, k=3, label="E entry^4 at n=2")
+
+
+def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
+    """sup_x |F_a(x) - F_b(x)| over the pooled sample points."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+class TestBartlettRows:
+    """B'B ~ Wishart_q(rows) for the rows stacked under Y_top, and the
+    corners read off the stack, checked in law against exact moments."""
+
+    @pytest.mark.parametrize("rows,q", [(12, 5), (3, 5)])
+    def test_trace_square_mean_and_variance(self, rows, q):
+        def one(stream, _):
+            b = _wishart_rows(rows, q, stream)
+            gram = b.T @ b
+            return float(np.einsum("ij,ij->", gram, gram))
+
+        vals = replicate_map(one, 40_000, 120 + rows)
+        exact = wishart_trace_stats(rows, q)
+        mean, se = mean_and_se(vals)
+        assert_within_se(mean, float(exact.e_tr2), se, k=4, label="E tr[(B'B)^2]")
+        var, var_se = variance_and_se(vals)
+        assert_within_se(var, float(exact.var_tr2), var_se, k=4, label="Var tr[(B'B)^2]")
+
+    def test_shapes_and_triangle(self):
+        stream = RngStream(121, 0)
+        b = _wishart_rows(9, 4, stream)
+        assert b.shape == (4, 4)
+        assert np.array_equal(b, np.triu(b)) and np.all(np.diagonal(b) > 0)
+        assert _wishart_rows(2, 4, stream).shape == (2, 4)
+        assert _wishart_rows(0, 4, stream).shape == (0, 4)
+
+    @pytest.mark.parametrize("n,p,q", [(60, 20, 7), (40, 38, 5)])
+    def test_corner_trace_powers(self, n, p, q):
+        # (40, 38, 5) has n - p < q: B is the two Gaussian rows themselves
+        d = Dims(n, p, q)
+
+        def one(stream, _):
+            z = sample_haar_submatrix(d, stream)
+            gram = z.T @ z
+            gram_sq = gram @ gram
+            return np.array([np.trace(gram), np.trace(gram_sq), np.einsum("ij,ij->", gram_sq, gram)])
+
+        vals = replicate_map(one, 20_000, 122, width=3)
+        for k in (1, 2, 3):
+            mean, se = mean_and_se(vals[:, k - 1])
+            assert_within_se(mean, float(trace_power_moment(k, d)), se, k=4, label=f"E tr[(Z'Z)^{k}]")
+
+    def test_log_ratio_matches_explicit_q_corners(self):
+        # two-sample KS at the 0.1% level: c(0.001) = 1.95
+        d = Dims(60, 20, 7)
+        root_n = math.sqrt(d.n)
+        count = 4000
+        bartlett = replicate_map(
+            lambda s, _: log_ln(root_n * sample_haar_submatrix(d, s), d), count, 123
+        )
+        explicit = replicate_map(
+            lambda s, _: log_ln(root_n * explicit_q(s.standard_normal((d.n, d.q)))[: d.p], d),
+            count,
+            124,
+        )
+        assert two_sample_ks(bartlett, explicit) < 1.95 * math.sqrt(2.0 / count)
+
+    def test_q1_corner_mass(self):
+        # q = 1: B is sqrt(chi^2_{n-p}), and |z|^2 ~ Beta(p/2, (n-p)/2) has mean p/n
+        d = Dims(500, 40, 1)
+        vals = replicate_map(lambda s, _: float(np.sum(sample_haar_submatrix(d, s) ** 2)), 20_000, 125)
+        mean, se = mean_and_se(vals)
+        assert_within_se(mean, d.p / d.n, se, k=4, label="E |z|^2 at q = 1")
+
+    def test_p_equals_n_stacks_no_rows(self):
+        # p = n: nothing is stacked under Y_top, and the corner's columns are
+        # orthonormal
+        z = sample_haar_submatrix(Dims(9, 9, 4), RngStream(126, 0))
+        assert np.max(np.abs(z.T @ z - np.eye(4))) <= 1e-14
+
+
+class TestNFree:
+    def test_huge_n_allocates_no_n_rows(self):
+        # an n x q draw at n = 10^9 would need 16 GB
+        d = Dims(10**9, 3, 2)
+        tracemalloc.start()
+        try:
+            z = sample_haar_submatrix(d, RngStream(127, 0))
+            hs_norm = _hs_terms(d, *_haar_rows(d, RngStream(127, 1)))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.shape == (3, 2) and math.isfinite(hs_norm)
+        assert peak < 2**20
+
+    def test_no_general_solve_in_sampling(self):
+        source = Path(__file__).resolve().parent.parent / "src" / "haargauss" / "sampling.py"
+        assert "np.linalg.solve" not in source.read_text(encoding="utf-8")
 
 
 class TestGramSchmidtCoupling:
@@ -161,11 +268,9 @@ class TestGramSchmidtCoupling:
 class TestCoupledPair:
     def test_q1_shrink_algebra(self):
         # single column: the coupled distance is |sqrt(n)/|y| - 1| * |y_top|
-        d = Dims(50, 20, 1)
-        pair = sample_coupled_pair(d, RngStream(21, 4))
-        full = sample_coupled_pair(Dims(50, 50, 1), RngStream(21, 4))
-        y = full.y_block[:, 0]
-        lhs = np.linalg.norm(math.sqrt(50) * pair.gamma_block - pair.y_block)
+        y = RngStream(21, 4).standard_normal((50, 1))
+        gamma_block, _ = _haar_factor(y[:20], y[20:])
+        lhs = np.linalg.norm(math.sqrt(50) * gamma_block - y[:20])
         rhs = abs(math.sqrt(50) / np.linalg.norm(y) - 1.0) * np.linalg.norm(y[:20])
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
