@@ -24,7 +24,7 @@ import numpy as np
 from . import moments
 from .density import UnsupportedRegimeError
 from .distances import NoDrawInSupportError, estimate_hellinger, estimate_kl, estimate_tv
-from .limits import FIGURE_GRID, clt_figure_grid, clt_w_statistic, run_hs_experiment
+from .limits import FIGURE_GRID, clt_w_statistic, run_hs_experiment
 from .moments import MonomialPattern
 from .numerics import RngStream, ks_statistic, normal_cdf
 from .parallel import replicate_map, thread_count
@@ -95,7 +95,7 @@ class Command:
 
     A command that ``needs_grid`` takes its points from --n/--p/--q or the
     config grid; with ``pq_grid`` a point may omit n (it defaults to
-    max(p, q)) and --figure-grid stands in for the grid.
+    max(p, q)) and --figure-grid makes ``FIGURE_GRID`` the grid.
     """
 
     help: str
@@ -220,6 +220,12 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     point = {k: getattr(args, k) for k in ("n", "p", "q") if getattr(args, k) is not None}
     if point:
         config.grid = _grid_from_payload([point], command)
+    if config.figure_grid:
+        if not command.pq_grid:
+            raise ConfigError(f"figure_grid is a clt grid; command {config.command!r} takes none")
+        if config.grid:
+            raise ConfigError("--figure-grid is the grid; drop --n/--p/--q and the config grid")
+        config.grid = [Dims(max(p, q), p, q) for p, q in FIGURE_GRID]
 
     _validate(config, command)
     return config
@@ -228,11 +234,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 def _validate(config: ExperimentConfig, command: Command) -> None:
     if config.replicates < 2:
         raise ConfigError(f"replicates must be >= 2, got {config.replicates}")
-    figure_grid = command.pq_grid and config.figure_grid
-    # the figure grid seeds its points master_seed + 0, 1, ..., len - 1
-    seed_limit = SEED_LIMIT - (len(FIGURE_GRID) - 1 if figure_grid else 0)
-    if not 0 <= config.master_seed < seed_limit:
-        raise ConfigError(f"master seed must be in [0, {seed_limit}), got {config.master_seed}")
+    if not 0 <= config.master_seed < SEED_LIMIT:
+        raise ConfigError(f"master seed must be in [0, {SEED_LIMIT}), got {config.master_seed}")
     try:
         thread_count(config.threads)
     except ValueError as exc:
@@ -242,10 +245,10 @@ def _validate(config: ExperimentConfig, command: Command) -> None:
             raise ConfigError(
                 f"{name} must be one of {', '.join(allowed)}, got {getattr(config, name)!r}"
             )
-    if command.needs_grid and not config.grid and not figure_grid:
+    if command.needs_grid and not config.grid:
         raise ConfigError(f"command {config.command!r} needs --n/--p/--q or a config grid")
     # the overlap statistic needs two rows and two columns
-    if command.pq_grid and not figure_grid:
+    if command.pq_grid:
         for d in config.grid:
             if d.p < 2 or d.q < 2:
                 raise ConfigError(
@@ -374,7 +377,14 @@ def _cmd_distance(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
 
 def _cmd_coupling(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
     for g_index, d in enumerate(config.grid):
-        result = run_hs_experiment(d, config.replicates, config.master_seed, threads=config.threads)
+        try:
+            result = run_hs_experiment(d, config.replicates, config.master_seed,
+                                       threads=config.threads)
+        except RuntimeError as exc:  # a degenerate pivot or a failed Cauchy-Schwarz check
+            print(f"error: coupling at n={d.n} p={d.p} q={d.q}: {exc}", file=sys.stderr)
+            yield _point(config, d, mean_hs=None, mean_hs_sq=None, hs_sq_bound=None, sigma=None,
+                         ks_half_normal=None, status="FAIL"), []
+            continue
         if d.q == 1:
             scale = math.sqrt(d.p / d.n / 2.0)
             hi, overlay = 4.0 * scale, Overlay("half_normal", scale)
@@ -389,14 +399,7 @@ def _cmd_coupling(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
         yield row, artifacts
 
 
-def _clt_points(config: ExperimentConfig) -> Iterator[tuple[str, Dims, np.ndarray, float]]:
-    """(histogram stem, grid point, W draws, KS distance to the normal) of
-    each clt point; the figure grid is sampled whole before its first point."""
-    if config.figure_grid:
-        for pt in clt_figure_grid(config.master_seed, threads=config.threads):
-            d = Dims(max(pt.p, pt.q), pt.p, pt.q)
-            yield f"clt-hist-p{pt.p}-q{pt.q}", d, pt.w_samples, pt.ks_normal
-        return
+def _cmd_clt(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
     for g_index, d in enumerate(config.grid):
         samples = replicate_map(
             lambda stream, _: clt_w_statistic(d.p, d.q, stream),
@@ -404,14 +407,9 @@ def _clt_points(config: ExperimentConfig) -> Iterator[tuple[str, Dims, np.ndarra
             config.master_seed,
             threads=config.threads,
         )
-        yield f"clt-hist-{g_index}", d, samples, ks_statistic(samples, normal_cdf)
-
-
-def _cmd_clt(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
-    for stem, d, samples, ks in _clt_points(config):
-        row = _point(config, d, N=samples.size, mean_w=float(np.mean(samples)),
-                     var_w=float(np.var(samples, ddof=1)), ks_normal=ks)
-        yield row, _histogram_artifacts(run_dir, stem, samples, Overlay("normal"))
+        row = _point(config, d, mean_w=float(np.mean(samples)),
+                     var_w=float(np.var(samples, ddof=1)), ks_normal=ks_statistic(samples, normal_cdf))
+        yield row, _histogram_artifacts(run_dir, f"clt-hist-{g_index}", samples, Overlay("normal"))
 
 
 def _verify_checks() -> list[tuple[str, int, bool]]:

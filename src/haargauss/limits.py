@@ -17,11 +17,9 @@ from .sampling import Dims, _haar_factor, _haar_rows, _wishart_rows
 __all__ = [
     "FIGURE_GRID",
     "HsExperimentResult",
-    "CltGridPoint",
     "run_hs_experiment",
     "clt_w_statistic",
     "clt_w_statistic_p1",
-    "clt_figure_grid",
     "half_normal_cdf",
 ]
 
@@ -34,9 +32,6 @@ FIGURE_GRID: tuple[tuple[int, int], ...] = (
     (2500, 50),
     (10000, 100),
 )
-# draws per grid point; the KS thresholds need at least 2000 at every point
-FIGURE_GRID_REPLICATES = 6000
-FIGURE_GRID_LARGE_REPLICATES = 2000
 
 
 def half_normal_cdf(x: float, scale: float = 1.0) -> float:
@@ -67,7 +62,7 @@ def _hs_terms(d: Dims, y_top: np.ndarray, bottom: np.ndarray) -> tuple[float, fl
     bound = 2.0 * np.sqrt(a * b * c)
     if np.any(np.abs(eps) > bound * (1.0 + 1e-9) + 1e-12):
         worst = int(np.argmax(np.abs(eps) - bound))
-        raise AssertionError(
+        raise RuntimeError(
             f"cross term exceeds its Cauchy-Schwarz bound at column {worst}: "
             f"|{eps[worst]:.6e}| > {bound[worst]:.6e}"
         )
@@ -164,34 +159,3 @@ def clt_w_statistic_p1(q: int, stream: RngStream) -> float:
     s2 = float(g_sq.sum())
     s4 = float((g_sq * g_sq).sum())
     return (s2 * s2 - s4 - q * (q - 1)) / q**1.5
-
-
-@dataclass(frozen=True)
-class CltGridPoint:
-    p: int
-    q: int
-    replicates: int
-    ks_normal: float
-    w_samples: np.ndarray
-
-
-def clt_figure_grid(master_seed: int, threads: int | None = None) -> list[CltGridPoint]:
-    """Sample the overlap statistic on the comparison grid and score each
-    point by its KS distance to the standard normal CDF.
-
-    The largest grid point uses ``FIGURE_GRID_LARGE_REPLICATES`` draws, the
-    cheap ones ``FIGURE_GRID_REPLICATES``."""
-    points = []
-    for offset, (p, q) in enumerate(FIGURE_GRID):
-        n_rep = FIGURE_GRID_LARGE_REPLICATES if p * q >= 200_000 else FIGURE_GRID_REPLICATES
-        # distinct seed per grid point, derived deterministically
-        seed = master_seed + offset
-        samples = replicate_map(
-            lambda stream, _, p=p, q=q: clt_w_statistic(p, q, stream),
-            n_rep,
-            seed,
-            threads=threads,
-        )
-        ks = ks_statistic(samples, normal_cdf)
-        points.append(CltGridPoint(p=p, q=q, replicates=n_rep, ks_normal=ks, w_samples=samples))
-    return points

@@ -19,21 +19,14 @@ from .numerics import RngStream
 
 __all__ = ["thread_count", "replicate_map"]
 
-THREADS_ENV_VAR = "HAARGAUSS_THREADS"
 
 def thread_count(requested: int | None = None) -> int:
-    """Worker count: explicit request, else HAARGAUSS_THREADS, else the
-    cores this process may run on."""
+    """Worker count: the explicit request, else the cores this process may
+    run on."""
     if requested is not None:
         if requested < 1:
             raise ValueError(f"thread count must be >= 1, got {requested}")
         return requested
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {env}")
-        return value
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -15,7 +15,6 @@ import pytest
 
 from haargauss import (
     Dims,
-    clt_figure_grid,
     clt_w_statistic,
     clt_w_statistic_p1,
     dirichlet_moment,
@@ -38,7 +37,6 @@ from haargauss import (
     wishart_trace_stats,
 )
 from haargauss.cli import _verify_checks, main
-from haargauss.reporting import Overlay, emit_svg_histogram, histogram_with_overflow, write_histogram_csv
 
 from conftest import (
     assert_within_se,
@@ -239,25 +237,26 @@ def test_criterion_6_coupling():
 
 def test_criterion_7_clt(tmp_path):
     with criterion(7, "overlap CLT suite", 900.0):
-        points = clt_figure_grid(9701, threads=1)
-        assert len(points) == 6
-        by_pq = {(pt.p, pt.q): pt for pt in points}
-        best = by_pq[(10000, 100)]
-        assert best.replicates == 2000
-        assert best.ks_normal < 0.03
-        worst = by_pq[(165, 30)]
-        assert worst.ks_normal > best.ks_normal
+        code = main(["clt", "--figure-grid", "-N", "6000", "--seed", "9701", "--threads", "1",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        (run_dir,) = tmp_path.iterdir()
+        header, *lines = (run_dir / "results.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 6
+        assert all(row["N"] == "6000" for row in rows)
+        ks = {(int(row["p"]), int(row["q"])): float(row["ks_normal"]) for row in rows}
+        assert ks[(10000, 100)] < 0.03
+        assert ks[(165, 30)] > ks[(10000, 100)]
         # KS decreases along the theoretical quality order, within noise
         quality_order = [(165, 30), (355, 50), (900, 30), (1600, 40), (2500, 50), (10000, 100)]
-        ks_values = [by_pq[pq].ks_normal for pq in quality_order]
+        ks_values = [ks[pq] for pq in quality_order]
         for earlier, later in zip(ks_values[:-1], ks_values[1:]):
             assert later <= earlier + 0.03
-        # histogram artifacts, one per grid point
-        for pt in points:
-            hist = histogram_with_overflow(pt.w_samples)
-            write_histogram_csv(hist, tmp_path / f"clt-hist-p{pt.p}-q{pt.q}.csv")
-            emit_svg_histogram(hist, Overlay("normal"), tmp_path / f"clt-hist-p{pt.p}-q{pt.q}.svg")
-        assert len(list(tmp_path.glob("clt-hist-*.svg"))) == 6
+        # histogram artifacts, one per grid point, each with its normal overlay
+        svgs = sorted(run_dir.glob("clt-hist-*.svg"))
+        assert len(svgs) == 6
+        assert all("<polyline" in svg.read_text() for svg in svgs)
 
         w_900 = replicate_map(
             lambda s, _: clt_w_statistic(900, 30, s), 5000, 9702, threads=2

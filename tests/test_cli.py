@@ -140,12 +140,16 @@ class TestMainExitCodes:
         ("distance", {}, ["--seed", str(2**64)]),
         ("distance", {}, ["-N", "1"]),
         ("distance", {"replicates": 2.7}, []),
-        ("clt", {"grid": []}, ["--figure-grid", "--seed", str(2**64 - 5)]),
         ("clt", {}, ["--p", "1", "--q", "5", "-N", "10"]),
         ("distance", {}, ["--p", "3"]),
         ("distance", {}, ["--p", "3", "--q", "2"]),
-    ], ids=["grid-int", "seed-2^64", "N-1", "replicates-float", "figure-grid-seed-offset",
-            "clt-p-1", "p-without-q", "pq-without-n"])
+        ("clt", {"grid": []}, ["--figure-grid", "--p", "5", "--q", "5"]),
+        ("clt", {}, ["--figure-grid"]),
+        ("distance", {"figure_grid": True}, []),
+        ("distance", {}, ["--threads", "0"]),
+    ], ids=["grid-int", "seed-2^64", "N-1", "replicates-float", "clt-p-1", "p-without-q",
+            "pq-without-n", "figure-grid-with-flags", "figure-grid-with-config-grid",
+            "figure-grid-on-distance", "threads-0"])
     def test_bad_input_is_2_without_a_run(self, tmp_path, capsys, command, payload, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": [{"n": 60, "p": 3, "q": 2}], **payload}))
@@ -166,13 +170,6 @@ class TestMainExitCodes:
         assert "usage:" in captured.out
         assert "error:" not in captured.err
         assert not runs.exists()
-
-    def test_bad_thread_variable_is_2(self, tmp_path, monkeypatch):
-        from haargauss.parallel import THREADS_ENV_VAR
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
-        assert main(["moments", "--n", "6", "--p", "2", "--q", "2",
-                     "--output-dir", str(tmp_path)]) == 2
 
     def test_distance_run_is_0(self, tmp_path):
         code = main(["distance", "--n", "60", "--p", "3", "--q", "2", "--kind", "tv",
@@ -310,6 +307,21 @@ class TestMomentsCommand:
 
 
 class TestCouplingCommand:
+    def test_sampler_abort_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
+        import haargauss.sampling as sampling
+
+        # every Gram-Schmidt pivot is now degenerate: the sampler's own abort
+        monkeypatch.setattr(sampling, "PIVOT_TOL", math.inf)
+        code = main(["coupling", "--n", "50", "--p", "5", "--q", "2", "-N", "10",
+                     "--output-dir", str(tmp_path)])
+        assert code == 1
+        run_dir = _run_dir_of(tmp_path)
+        lines = (run_dir / "results.csv").read_text().splitlines()
+        assert lines[1:] == ["50,5,2,10,0,,,,,,FAIL"]
+        assert not list(run_dir.glob("coupling-hs-*"))
+        assert not (run_dir / "artifacts.json").exists()
+        assert "error: coupling at n=50 p=5 q=2: Gram-Schmidt pivot" in capsys.readouterr().err
+
     def test_q1_artifacts(self, tmp_path):
         code = main(["coupling", "--n", "200", "--p", "100", "--q", "1", "-N", "400",
                      "--seed", "7", "--output-dir", str(tmp_path)])
@@ -385,22 +397,13 @@ class TestSvgHistogram:
 
 
 class TestThreadEnvVar:
-    def test_env_override(self, monkeypatch):
-        from haargauss.parallel import THREADS_ENV_VAR, thread_count
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert thread_count() == 3
-        assert thread_count(2) == 2  # explicit request wins
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
-        with pytest.raises(ValueError):
-            thread_count()
-
+    # the environment never sets the worker count; --threads or the config key does
     def test_default_follows_cpu_affinity(self, monkeypatch):
         import os
 
-        from haargauss.parallel import THREADS_ENV_VAR, thread_count
+        from haargauss.parallel import thread_count
 
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setenv("HAARGAUSS_THREADS", "3")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert thread_count() == 1
 
@@ -502,26 +505,27 @@ class TestExitCodeOne:
 
 
 class TestFigureGridWiring:
-    def test_six_svgs_written(self, tmp_path, monkeypatch):
-        import haargauss.cli as cli_module
-        from haargauss.limits import FIGURE_GRID, CltGridPoint
-        from haargauss import RngStream
+    def test_six_svgs_written(self, tmp_path):
+        from haargauss.limits import FIGURE_GRID
 
-        def fake_grid(seed, threads=None):
-            draws = RngStream(seed, 0).standard_normal(500)
-            return [
-                CltGridPoint(p=p, q=q, replicates=500, ks_normal=0.01, w_samples=draws)
-                for p, q in FIGURE_GRID
-            ]
-
-        monkeypatch.setattr(cli_module, "clt_figure_grid", fake_grid)
-        code = main(["clt", "--figure-grid", "--seed", "8", "--output-dir", str(tmp_path)])
+        code = main(["clt", "--figure-grid", "-N", "20", "--seed", "8",
+                     "--output-dir", str(tmp_path)])
         assert code == 0
         run_dir = _run_dir_of(tmp_path)
         assert len(list(run_dir.glob("clt-hist-*.svg"))) == 6
         assert len(list(run_dir.glob("clt-hist-*.csv"))) == 6
         lines = (run_dir / "results.csv").read_text().splitlines()
-        assert len(lines) == 7
+        assert lines[0] == "p,q,N,seed,mean_w,var_w,ks_normal"
+        assert [tuple(map(int, line.split(",")[:4])) for line in lines[1:]] == [
+            (p, q, 20, 8) for p, q in FIGURE_GRID
+        ]
+        timing = json.loads((run_dir / "timing.json").read_text())
+        assert [entry["index"] for entry in timing] == list(range(6))
+
+    def test_top_seed_runs(self, tmp_path):
+        code = main(["clt", "--figure-grid", "-N", "2", "--seed", str(2**64 - 1),
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
 
 
 class TestFreshRunDirectories:
