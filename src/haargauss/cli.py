@@ -1,5 +1,5 @@
 """Command-line orchestration: config parsing, experiment scheduling over
-(n, p, q) grids, parallel execution, and persistence of results and plots.
+(n, p, q) grids, and persistence of results and plots.
 
 Every run gets a fresh directory containing the config echo, deterministic
 result files, wall-clock timings, and any artifacts.  Exit codes: 0 all
@@ -66,6 +66,8 @@ class ExperimentConfig:
     grid: list[Dims] = field(default_factory=list)
     replicates: int = DEFAULT_REPLICATES
     master_seed: int = 0
+    # checked (>= 1) and otherwise ignored, since replicates run on one
+    # worker; kept while the benchmark in perfbench/ still sets it
     threads: int | None = None
     output_dir: Path = Path("runs")
     format: str = "csv"
@@ -121,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--replicates", "-N", type=int, default=None)
         p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted if >= 1 and ignored: replicates run on one worker")
         p.add_argument("--output-dir", type=Path, default=None)
         p.add_argument("--format", choices=CHOICES["format"], default=None)
         for flag, options in command.flags.items():
@@ -360,9 +363,7 @@ def _cmd_distance(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
         for kind in kinds:
             row = _point(config, d, kind=kind, mean=None, std_error=None, status="ok")
             try:
-                est = estimators[kind](
-                    d, config.replicates, config.master_seed, threads=config.threads
-                )
+                est = estimators[kind](d, config.replicates, config.master_seed)
                 row["mean"] = est.mean
                 row["std_error"] = est.std_error
             except NoDrawInSupportError:
@@ -378,9 +379,8 @@ def _cmd_distance(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
 def _cmd_coupling(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
     for g_index, d in enumerate(config.grid):
         try:
-            result = run_hs_experiment(d, config.replicates, config.master_seed,
-                                       threads=config.threads)
-        except RuntimeError as exc:  # a degenerate pivot or a failed Cauchy-Schwarz check
+            result = run_hs_experiment(d, config.replicates, config.master_seed)
+        except RuntimeError as exc:  # a degenerate or NaN pivot
             print(f"error: coupling at n={d.n} p={d.p} q={d.q}: {exc}", file=sys.stderr)
             yield _point(config, d, mean_hs=None, mean_hs_sq=None, hs_sq_bound=None, sigma=None,
                          ks_half_normal=None, status="FAIL"), []
@@ -405,7 +405,6 @@ def _cmd_clt(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
             lambda stream, _: clt_w_statistic(d.p, d.q, stream),
             config.replicates,
             config.master_seed,
-            threads=config.threads,
         )
         row = _point(config, d, mean_w=float(np.mean(samples)),
                      var_w=float(np.var(samples, ddof=1)), ks_normal=ks_statistic(samples, normal_cdf))

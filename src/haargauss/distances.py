@@ -18,7 +18,7 @@ import numpy as np
 
 from .density import NEG_INFINITY, UnsupportedRegimeError, log_kn_exact, log_ln
 from .numerics import RngStream, normal_cdf
-from .parallel import replicate_map
+from .parallel import replicate_map, thread_count
 from .sampling import Dims, sample_haar_submatrix
 
 __all__ = [
@@ -42,8 +42,9 @@ class DistanceKind(Enum):
 
 
 class NoDrawInSupportError(UnsupportedRegimeError):
-    """Every Gaussian block fell outside the corner density's support, so the
-    Gaussian-side estimate is a constant with a zero standard error."""
+    """No Gaussian block has a ratio distinguishable from 0 (each lies
+    outside the corner density's support or rounds to ratio 0 there), so the
+    estimate is a constant with a zero standard error."""
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,9 @@ def _estimate(
     d: Dims,
     replicates: int,
     master_seed: int,
-    threads: int | None,
     kind: DistanceKind,
     on_corner: bool,
-    term: Callable[[float], float],
+    term: Callable[[np.ndarray], np.ndarray],
 ) -> EstimateWithError:
     """Mean and standard error of ``term(log f/g)`` over replicate draws.
 
@@ -87,10 +87,11 @@ def _estimate(
     times a Haar corner (law f).  A Gaussian block may legally fall outside
     the support of f and enters ``term`` with log ratio -inf; a corner sample
     can only do so through a sampler or density defect (the event has
-    probability zero), so it aborts the run with diagnostics.  When no
-    Gaussian block lands inside the support the estimate carries no
-    information, and ``NoDrawInSupportError`` is raised.  The Hellinger kind
-    reports one minus the mean, the squared distance.
+    probability zero), so it aborts the run with diagnostics.  When the
+    per-draw terms do not vary, the estimate has a zero standard error and
+    carries no information (far from the critical curve every Gaussian block
+    has a ratio that rounds to 0), and ``NoDrawInSupportError`` is raised.
+    The Hellinger kind reports one minus the mean, the squared distance.
     """
     log_kn = log_kn_exact(d).log_kn
     root_n = math.sqrt(d.n)
@@ -110,14 +111,14 @@ def _estimate(
             )
         return log_ratio
 
-    log_ratios = replicate_map(one, replicates, master_seed, threads=threads)
-    if np.all(log_ratios == NEG_INFINITY):
-        raise NoDrawInSupportError(
-            f"none of {replicates} Gaussian blocks lies inside the support (dims={d})"
-        )
-    values = np.array([term(log_ratio) for log_ratio in log_ratios])
+    values = term(replicate_map(one, replicates, master_seed))
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(values.size))
+    if se == 0.0:
+        raise NoDrawInSupportError(
+            f"the {replicates} per-draw terms do not vary: no Gaussian block has a "
+            f"ratio distinguishable from 0 (dims={d})"
+        )
     if kind is DistanceKind.HELLINGER:
         mean = 1.0 - mean
     return EstimateWithError(mean, se, replicates, kind)
@@ -128,10 +129,13 @@ def estimate_tv(
 ) -> EstimateWithError:
     """Total variation estimate: the mean of |ratio - 1| over Gaussian
     blocks, where a block outside the corner's support has ratio 0 and
-    contributes exactly 1."""
+    contributes exactly 1.  ``threads`` is checked and ignored
+    (see :func:`~haargauss.parallel.thread_count`) until the benchmark stops
+    passing it."""
+    thread_count(threads)
     return _estimate(
-        d, replicates, master_seed, threads, DistanceKind.TV, False,
-        lambda log_ratio: float(np.abs(np.exp(np.float64(log_ratio)) - 1.0)),
+        d, replicates, master_seed, DistanceKind.TV, False,
+        lambda log_ratio: np.abs(np.exp(log_ratio) - 1.0),
     )
 
 
@@ -139,32 +143,31 @@ def estimate_kl(
     d: Dims, replicates: int, master_seed: int, threads: int | None = None
 ) -> EstimateWithError:
     """Kullback-Leibler estimate: the mean log ratio over scaled corner
-    samples."""
+    samples.  ``threads`` is checked and ignored
+    (see :func:`~haargauss.parallel.thread_count`) until the benchmark stops
+    passing it."""
+    thread_count(threads)
     return _estimate(
-        d, replicates, master_seed, threads, DistanceKind.KL, True, lambda log_ratio: log_ratio
+        d, replicates, master_seed, DistanceKind.KL, True, lambda log_ratio: log_ratio
     )
 
 
-def estimate_hellinger(
-    d: Dims, replicates: int, master_seed: int, threads: int | None = None
-) -> EstimateWithError:
+def estimate_hellinger(d: Dims, replicates: int, master_seed: int) -> EstimateWithError:
     """Squared Hellinger estimate: one minus the mean of exp(log ratio / 2)
     over Gaussian blocks; out-of-support samples contribute 0 to that mean."""
     return _estimate(
-        d, replicates, master_seed, threads, DistanceKind.HELLINGER, False,
-        lambda log_ratio: float(np.exp(np.float64(0.5 * log_ratio))),
+        d, replicates, master_seed, DistanceKind.HELLINGER, False,
+        lambda log_ratio: np.exp(0.5 * log_ratio),
     )
 
 
-def estimate_tv_from_haar(
-    d: Dims, replicates: int, master_seed: int, threads: int | None = None
-) -> EstimateWithError:
+def estimate_tv_from_haar(d: Dims, replicates: int, master_seed: int) -> EstimateWithError:
     """Total variation in its corner-sample form, the mean of
     |1 - exp(-log ratio)| over scaled corner samples; agrees with
     :func:`estimate_tv` in expectation and serves as its cross-check."""
     return _estimate(
-        d, replicates, master_seed, threads, DistanceKind.TV, True,
-        lambda log_ratio: float(np.abs(1.0 - np.exp(np.float64(-log_ratio)))),
+        d, replicates, master_seed, DistanceKind.TV, True,
+        lambda log_ratio: np.abs(1.0 - np.exp(-log_ratio)),
     )
 
 
@@ -172,8 +175,9 @@ def tv_limit_lower_bound(sigma: float) -> float:
     """E|e^xi - 1| = 4 Phi(sigma/4) - 2 for xi ~ N(-sigma^2/8, sigma^2/4).
 
     This is the proven asymptotic floor of the total variation distance on
-    the curve pq/n -> sigma; the empirical estimate is compared against it
-    as a band, not an equality.
+    the curve pq/n -> sigma as min(p, q) -> infinity; with q fixed the limit
+    law of the log ratio differs (see :func:`kl_limit`).  The empirical
+    estimate is compared against it as a band, not an equality.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -181,14 +185,19 @@ def tv_limit_lower_bound(sigma: float) -> float:
 
 
 def kl_limit(sigma: float) -> float:
-    """E[xi e^xi] = sigma^2 / 8 for the same limiting log ratio xi."""
+    """E[xi e^xi] = sigma^2 / 8 for the same limiting log ratio xi.
+
+    Like the other limit values it holds only as min(p, q) -> infinity on
+    the curve pq/n -> sigma: at sigma = 1 with q = 10 the exact KL is about
+    0.1477 (at n = 10^4 up to 10^8), not 0.125."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     return sigma * sigma / 8.0
 
 
 def hellinger_sq_limit(sigma: float) -> float:
-    """1 - E[e^{xi/2}] = 1 - exp(-sigma^2/32) for the same xi."""
+    """1 - E[e^{xi/2}] = 1 - exp(-sigma^2/32) for the same xi, as
+    min(p, q) -> infinity on the curve pq/n -> sigma."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     return 1.0 - math.exp(-sigma * sigma / 32.0)

@@ -58,15 +58,6 @@ def _hs_terms(d: Dims, y_top: np.ndarray, bottom: np.ndarray) -> tuple[float, fl
     c = np.einsum("ij,ij->j", proj_top, proj_top)
     eps = -2.0 * shrink * np.einsum("ij,ij->j", q_top, proj_top)
 
-    # per-column Cauchy-Schwarz bound on the cross term, with roundoff slack
-    bound = 2.0 * np.sqrt(a * b * c)
-    if np.any(np.abs(eps) > bound * (1.0 + 1e-9) + 1e-12):
-        worst = int(np.argmax(np.abs(eps) - bound))
-        raise RuntimeError(
-            f"cross term exceeds its Cauchy-Schwarz bound at column {worst}: "
-            f"|{eps[worst]:.6e}| > {bound[worst]:.6e}"
-        )
-
     diff = root_n * q_top - y_top
     hs_sq = float(np.einsum("ij,ij->", diff, diff))
     return math.sqrt(hs_sq), float((a * b).sum()), float(c.sum()), float(eps.sum())
@@ -93,12 +84,7 @@ class HsExperimentResult:
     ks_vs_half_normal: float | None
 
 
-def run_hs_experiment(
-    d: Dims,
-    replicates: int,
-    master_seed: int,
-    threads: int | None = None,
-) -> HsExperimentResult:
+def run_hs_experiment(d: Dims, replicates: int, master_seed: int) -> HsExperimentResult:
     """Replicate the coupled Hilbert-Schmidt draw.
 
     Reports the sample mean and mean square against the proven bound
@@ -108,8 +94,6 @@ def run_hs_experiment(
         lambda stream, _: np.array(_hs_terms(d, *_haar_rows(d, stream))),
         replicates,
         master_seed,
-        threads=threads,
-        width=4,
     )
     hs = values[:, 0]
     ks = None

@@ -1,16 +1,14 @@
-"""Deterministic parallel replicate execution.
+"""Deterministic replicate execution.
 
 Each replicate draws from its own counter-based substream keyed by the
-replicate index, so the vector of per-replicate values is independent of how
-work is scheduled.  Aggregation always happens on that index-ordered vector
-via numpy's fixed-shape pairwise summation, which makes every estimate
-byte-identical for any worker count.
+replicate index, and the replicates run in index order on one worker, so the
+vector of per-replicate values depends only on the function, the replicate
+count and the master seed.  Aggregation always happens on that index-ordered
+vector via numpy's fixed-shape pairwise summation.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -21,15 +19,15 @@ __all__ = ["thread_count", "replicate_map"]
 
 
 def thread_count(requested: int | None = None) -> int:
-    """Worker count: the explicit request, else the cores this process may
-    run on."""
-    if requested is not None:
-        if requested < 1:
-            raise ValueError(f"thread count must be >= 1, got {requested}")
-        return requested
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The worker count replicates run on, which is always 1.
+
+    A requested count must be >= 1 (else ``ValueError``) and is otherwise
+    ignored.  This function, and every ``threads`` input that reaches it,
+    stays only because the benchmark in ``perfbench/`` still calls it; delete
+    them with the benchmark's next revision."""
+    if requested is not None and requested < 1:
+        raise ValueError(f"thread count must be >= 1, got {requested}")
+    return 1
 
 
 def replicate_map(
@@ -37,32 +35,16 @@ def replicate_map(
     replicates: int,
     master_seed: int,
     threads: int | None = None,
-    width: int = 1,
 ) -> np.ndarray:
-    """Evaluate ``fn(stream, index)`` for index 0..replicates-1.
+    """Evaluate ``fn(stream, index)`` for index 0..replicates-1, in order.
 
-    Returns the values ordered by replicate index, shape ``(replicates,)``
-    for width 1 and ``(replicates, width)`` otherwise.  The output depends
-    only on (fn, replicates, master_seed), never on the thread count.
+    Returns the values stacked by replicate index: shape ``(replicates,)``
+    for a scalar ``fn`` and ``(replicates, k)`` for one returning k values.
+    ``threads`` is checked by :func:`thread_count` and otherwise ignored.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    workers = thread_count(threads)
-    out = np.empty((replicates, width)) if width > 1 else np.empty(replicates)
-
-    def run_range(lo: int, hi: int) -> None:
-        for index in range(lo, hi):
-            out[index] = fn(RngStream(master_seed, index), index)
-
-    if workers == 1 or replicates == 1:
-        run_range(0, replicates)
-    else:
-        chunk = max(1, -(-replicates // (workers * 4)))
-        bounds = [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_range, lo, hi) for lo, hi in bounds]
-            for future in futures:
-                future.result()
-    return out
+    thread_count(threads)
+    return np.array(
+        [fn(RngStream(master_seed, index), index) for index in range(replicates)], dtype=float
+    )

@@ -105,12 +105,13 @@ def _haar_factor(y_top: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """The top rows of Q, a Haar corner Y_top R^-1, and the positive-diagonal
     R of [y_top; b] = QR.  Q comes from one reduced Householder QR, so square
     corners are orthogonal to rounding.  A pivot R_kk below ``PIVOT_TOL`` (a
-    probability-zero event for Gaussian columns) raises ``RuntimeError``."""
+    probability-zero event for Gaussian columns) or not a number, as from a
+    NaN anywhere in the stack, raises ``RuntimeError``."""
     qmat, r = np.linalg.qr(np.vstack((y_top, b)))
     signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     r *= signs[:, None]
     pivots = np.diagonal(r)
-    if pivots.min() < PIVOT_TOL:
+    if not pivots.min() >= PIVOT_TOL:
         k = int(np.argmin(pivots))
         raise RuntimeError(
             f"Gram-Schmidt pivot {pivots[k]:.3e} below {PIVOT_TOL:.1e} at column {k}"

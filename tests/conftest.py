@@ -9,6 +9,18 @@ import mpmath
 import numpy as np
 import pytest
 
+from haargauss import RngStream
+
+
+class NanStream(RngStream):
+    """A stream whose Gaussian draws carry one NaN, as a corrupted sampler
+    or a bad BLAS result would: every check downstream must reject it."""
+
+    def standard_normal(self, shape):
+        out = super().standard_normal(shape)
+        out.flat[0] = np.nan
+        return out
+
 
 def assert_within_se(observed: float, expected: float, std_error: float, k: float = 4.0, label: str = ""):
     """Assert |observed - expected| <= k standard errors.

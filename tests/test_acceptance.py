@@ -130,7 +130,7 @@ def test_criterion_3_monte_carlo_vs_exact():
                 [np.trace(gram), np.trace(gram_sq), np.einsum("ij,ij->", gram_sq, gram)]
             )
 
-        traces = replicate_map(corner_traces, n_rep, 9301, threads=2, width=3)
+        traces = replicate_map(corner_traces, n_rep, 9301)
         for k in (1, 2, 3):
             mean, se = mean_and_se(traces[:, k - 1])
             exact = float(trace_power_moment(k, d))
@@ -141,14 +141,14 @@ def test_criterion_3_monte_carlo_vs_exact():
             gram = x.T @ x
             return float(np.einsum("ij,ij->", gram, gram))
 
-        tr2 = replicate_map(wishart_tr2, n_rep, 9302, threads=2)
+        tr2 = replicate_map(wishart_tr2, n_rep, 9302)
         stats = wishart_trace_stats(5, 4)
         mean, se = mean_and_se(tr2)
         assert_within_se(mean, float(stats.e_tr2), se, k=4, label="E tr2")
         var, var_se = variance_and_se(tr2)
         assert_within_se(var, float(stats.var_tr2), var_se, k=4, label="Var tr2")
 
-        coupling = run_hs_experiment(d, n_rep, 9303, threads=2)
+        coupling = run_hs_experiment(d, n_rep, 9303)
         mean, se = mean_and_se(coupling.term_c)
         expected = float(sigma_trace_sums(d).sum_e_tr)
         assert_within_se(mean, expected, se, k=4, label="sum of projection masses")
@@ -159,7 +159,7 @@ def test_criterion_3_monte_carlo_vs_exact():
             w = float(u @ v) ** 2 - float(u @ u)
             return w * w
 
-        soup = replicate_map(overlap_square, n_rep, 9304, threads=2)
+        soup = replicate_map(overlap_square, n_rep, 9304)
         mean, se = mean_and_se(soup)
         assert_within_se(mean, 2.0 * 5 * 7, se, k=4, label="centered overlap square")
 
@@ -187,18 +187,18 @@ def test_criterion_5_distance_regimes():
     with criterion(5, "distance regimes", 1200.0):
         n_rep = 10_000
         vanishing = Dims(2000, 10, 10)
-        tv_v = estimate_tv(vanishing, n_rep, 9501, threads=2)
-        kl_v = estimate_kl(vanishing, n_rep, 9502, threads=2)
-        he_v = estimate_hellinger(vanishing, n_rep, 9503, threads=2)
+        tv_v = estimate_tv(vanishing, n_rep, 9501)
+        kl_v = estimate_kl(vanishing, n_rep, 9502)
+        he_v = estimate_hellinger(vanishing, n_rep, 9503)
         assert tv_v.mean < 0.2
         assert kl_v.mean < 0.05
         assert he_v.hellinger < 0.2
         _pinsker_and_sandwich(tv_v, kl_v, he_v)
 
         critical = Dims(1024, 32, 32)
-        tv_c = estimate_tv(critical, n_rep, 9504, threads=2)
-        kl_c = estimate_kl(critical, n_rep, 9505, threads=2)
-        he_c = estimate_hellinger(critical, n_rep, 9506, threads=2)
+        tv_c = estimate_tv(critical, n_rep, 9504)
+        kl_c = estimate_kl(critical, n_rep, 9505)
+        he_c = estimate_hellinger(critical, n_rep, 9506)
         assert tv_c.mean >= 0.395 - 3 * tv_c.std_error
         assert tv_c.mean <= 0.545
         assert abs(kl_c.mean - 0.125) <= max(3 * kl_c.std_error, 0.05)
@@ -219,13 +219,13 @@ def test_criterion_6_coupling():
         ]
         mean_for_band = None
         for d, n_rep in grid:
-            result = run_hs_experiment(d, n_rep, 9601, threads=2)
+            result = run_hs_experiment(d, n_rep, 9601)
             assert result.mean_sq <= result.hs_sq_bound, f"bound violated at {d}"
             if d.n == 62_500:
                 mean_for_band = result.mean
 
         # single-column law against the half-normal limit
-        single = run_hs_experiment(Dims(2000, 1000, 1), 5000, 9602, threads=2)
+        single = run_hs_experiment(Dims(2000, 1000, 1), 5000, 9602)
         assert single.ks_vs_half_normal is not None
         assert single.ks_vs_half_normal < 0.03
 
@@ -258,19 +258,17 @@ def test_criterion_7_clt(tmp_path):
         assert len(svgs) == 6
         assert all("<polyline" in svg.read_text() for svg in svgs)
 
-        w_900 = replicate_map(
-            lambda s, _: clt_w_statistic(900, 30, s), 5000, 9702, threads=2
-        )
+        w_900 = replicate_map(lambda s, _: clt_w_statistic(900, 30, s), 5000, 9702)
         var_900 = float(np.var(w_900, ddof=1))
         assert abs(var_900 - 1.0) <= 0.1, f"Var W at (900, 30) = {var_900}"
 
-        w_p1 = replicate_map(lambda s, _: clt_w_statistic_p1(10_000, s), 6000, 9703, threads=2)
+        w_p1 = replicate_map(lambda s, _: clt_w_statistic_p1(10_000, s), 6000, 9703)
         var_p1 = float(np.var(w_p1, ddof=1))
         assert abs(var_p1 - 8.0) <= 0.5, f"p=1 variance = {var_p1}"
 
 
 def test_criterion_8_reproducibility(tmp_path):
-    """Byte-identical results for threads in {1, 4} and repeated runs.
+    """Byte-identical results for repeated runs and for any --threads value.
 
     Each suite's stochastic pipeline is re-run through the same code path
     (per-replicate keyed substreams, index-ordered pairwise reduction) at
@@ -280,28 +278,26 @@ def test_criterion_8_reproducibility(tmp_path):
     with criterion(8, "reproducibility", 600.0):
         critical = Dims(1024, 32, 32)
         for estimator in (estimate_tv, estimate_kl, estimate_hellinger):
-            one = estimator(critical, 500, 42, threads=1)
-            four = estimator(critical, 500, 42, threads=4)
-            again = estimator(critical, 500, 42, threads=4)
-            assert (one.mean, one.std_error) == (four.mean, four.std_error)
-            assert (four.mean, four.std_error) == (again.mean, again.std_error)
+            first = estimator(critical, 500, 42)
+            again = estimator(critical, 500, 42)
+            assert (first.mean, first.std_error) == (again.mean, again.std_error)
 
-        hs_one = run_hs_experiment(Dims(2000, 100, 5), 300, 42, threads=1)
-        hs_four = run_hs_experiment(Dims(2000, 100, 5), 300, 42, threads=4)
-        assert np.array_equal(hs_one.hs_norms, hs_four.hs_norms)
-        assert np.array_equal(hs_one.term_c, hs_four.term_c)
+        hs_first = run_hs_experiment(Dims(2000, 100, 5), 300, 42)
+        hs_again = run_hs_experiment(Dims(2000, 100, 5), 300, 42)
+        assert np.array_equal(hs_first.hs_norms, hs_again.hs_norms)
+        assert np.array_equal(hs_first.term_c, hs_again.term_c)
 
-        w_one = replicate_map(lambda s, _: clt_w_statistic(900, 30, s), 400, 42, threads=1)
-        w_four = replicate_map(lambda s, _: clt_w_statistic(900, 30, s), 400, 42, threads=4)
-        assert np.array_equal(w_one, w_four)
+        w_first = replicate_map(lambda s, _: clt_w_statistic(900, 30, s), 400, 42)
+        w_again = replicate_map(lambda s, _: clt_w_statistic(900, 30, s), 400, 42)
+        assert np.array_equal(w_first, w_again)
 
         def corner_trace(stream, _):
             z = sample_haar_submatrix(Dims(50, 5, 4), stream)
             return float(np.einsum("ij,ij->", z, z))
 
-        t_one = replicate_map(corner_trace, 2000, 42, threads=1)
-        t_four = replicate_map(corner_trace, 2000, 42, threads=4)
-        assert np.array_equal(t_one, t_four)
+        t_first = replicate_map(corner_trace, 2000, 42)
+        t_again = replicate_map(corner_trace, 2000, 42)
+        assert np.array_equal(t_first, t_again)
 
         # CLI end to end: result files byte-identical across thread counts
         # and across repeated runs

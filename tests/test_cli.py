@@ -23,6 +23,8 @@ from haargauss.reporting import (
     write_histogram_csv,
 )
 
+from conftest import NanStream
+
 
 def _run_dir_of(base: Path) -> Path:
     dirs = [p for p in base.iterdir() if p.is_dir()]
@@ -322,6 +324,20 @@ class TestCouplingCommand:
         assert not (run_dir / "artifacts.json").exists()
         assert "error: coupling at n=50 p=5 q=2: Gram-Schmidt pivot" in capsys.readouterr().err
 
+    def test_nan_draw_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
+        import haargauss.parallel as parallel
+
+        # every replicate stream now puts a NaN in its Gaussian draws
+        monkeypatch.setattr(parallel, "RngStream", NanStream)
+        code = main(["coupling", "--n", "50", "--p", "5", "--q", "2", "-N", "10",
+                     "--output-dir", str(tmp_path)])
+        assert code == 1
+        run_dir = _run_dir_of(tmp_path)
+        lines = (run_dir / "results.csv").read_text().splitlines()
+        assert lines[1:] == ["50,5,2,10,0,,,,,,FAIL"]
+        assert not list(run_dir.glob("coupling-hs-*"))
+        assert "Gram-Schmidt pivot nan" in capsys.readouterr().err
+
     def test_q1_artifacts(self, tmp_path):
         code = main(["coupling", "--n", "200", "--p", "100", "--q", "1", "-N", "400",
                      "--seed", "7", "--output-dir", str(tmp_path)])
@@ -397,7 +413,7 @@ class TestSvgHistogram:
 
 
 class TestThreadEnvVar:
-    # the environment never sets the worker count; --threads or the config key does
+    # neither the environment nor the CPU affinity sets the worker count: it is 1
     def test_default_follows_cpu_affinity(self, monkeypatch):
         import os
 
@@ -459,7 +475,7 @@ class TestBenchmarkHooks:
             assert main([*argv, "-N", "20", "--output-dir", str(tmp_path / argv[0])]) == 0
         assert all(calls.values()), [name for name, count in calls.items() if not count]
 
-    def test_layer_names_exist(self):
+    def test_layer_names_exist(self, tmp_path):
         # the traced benchmark times these layer functions directly, and its
         # environment fingerprint reads the default worker count
         from haargauss import moments
@@ -486,7 +502,13 @@ class TestBenchmarkHooks:
         for estimate in (estimate_tv, estimate_kl):
             assert estimate(d, 4, 0, threads=1).replicates == 4
         assert replicate_map(lambda s, j: 0.0, 4, 0, threads=2).shape == (4,)
-        assert thread_count() >= 1
+        # the fingerprint records the one worker replicates run on, and a
+        # worker count below 1 is still rejected where the benchmark passes one
+        assert thread_count() == 1
+        with pytest.raises(ValueError):
+            thread_count(0)
+        assert main(["distance", "--n", "60", "--p", "3", "--q", "2", "--kind", "tv", "-N", "8",
+                     "--threads", "2", "--output-dir", str(tmp_path)]) == 0
         pattern = moments.MonomialPattern.CYCLE6
         assert moments.entry_monomial_moment(pattern, 10**6) is not None
         assert moments.trace_power_moment(3, Dims(50, 50, 50)) == 50

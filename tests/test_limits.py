@@ -29,11 +29,12 @@ class TestHsSample:
             assert hs_norm**2 == pytest.approx(term_ab + term_c + cross, abs=1e-8)
 
     def test_cross_term_bounded(self):
-        # the bound check runs inside _hs_terms; surviving a batch of draws
-        # means every per-column cross term obeyed Cauchy-Schwarz
+        # per column |eps_j| <= 2 sqrt(a_j b_j c_j) by Cauchy-Schwarz, and
+        # summing over columns gives |cross| <= 2 sqrt(term_ab term_c)
         d = Dims(100, 30, 8)
         for index in range(20):
-            _hs_terms(d, *_haar_rows(d, RngStream(302, index)))
+            _, term_ab, term_c, cross = _hs_terms(d, *_haar_rows(d, RngStream(302, index)))
+            assert abs(cross) <= 2.0 * math.sqrt(term_ab * term_c) * (1.0 + 1e-9) + 1e-12
 
     def test_q1_shrink_formula(self):
         d = Dims(64, 16, 1)

@@ -6,6 +6,7 @@ from haargauss import (
     cholesky_logdet,
     ks_statistic,
     normal_cdf,
+    replicate_map,
 )
 
 
@@ -34,6 +35,23 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
+
+
+class TestReplicateMap:
+    # the engine is the index-ordered loop over keyed streams, for any fn shape
+    @pytest.mark.parametrize("fn", [
+        lambda s, i: s.gaussian() + i,
+        lambda s, i: np.append(s.standard_normal(2), i),
+    ], ids=["scalar", "vector"])
+    def test_matches_direct_loop(self, fn):
+        direct = np.array([fn(RngStream(17, i), i) for i in range(25)])
+        out = replicate_map(fn, 25, 17)
+        assert out.dtype == np.float64 and out.shape == direct.shape
+        assert np.array_equal(out, direct)
+
+    def test_rejects_no_replicates(self):
+        with pytest.raises(ValueError):
+            replicate_map(lambda s, i: 0.0, 0, 0)
 
 
 class TestNormalCdf:

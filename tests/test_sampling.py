@@ -22,7 +22,7 @@ from haargauss import (
 from haargauss.limits import _hs_terms
 from haargauss.sampling import _haar_factor, _haar_rows, _wishart_rows
 
-from conftest import assert_within_se, explicit_q, mean_and_se, variance_and_se
+from conftest import NanStream, assert_within_se, explicit_q, mean_and_se, variance_and_se
 
 
 class TestDims:
@@ -160,7 +160,7 @@ class TestBartlettRows:
             gram_sq = gram @ gram
             return np.array([np.trace(gram), np.trace(gram_sq), np.einsum("ij,ij->", gram_sq, gram)])
 
-        vals = replicate_map(one, 20_000, 122, width=3)
+        vals = replicate_map(one, 20_000, 122)
         for k in (1, 2, 3):
             mean, se = mean_and_se(vals[:, k - 1])
             assert_within_se(mean, float(trace_power_moment(k, d)), se, k=4, label=f"E tr[(Z'Z)^{k}]")
@@ -233,7 +233,6 @@ class TestGramSchmidtCoupling:
             lambda s, _: gram_schmidt_coupling(s.standard_normal((n, q))).w_norms ** 2,
             8_000,
             105,
-            width=q,
         )
         for k in range(q):
             mean, se = mean_and_se(vals[:, k])
@@ -246,7 +245,7 @@ class TestGramSchmidtCoupling:
             gs = gram_schmidt_coupling(stream.standard_normal((n, q)))
             proj = gs.projections()
             return np.einsum("ij,ij->j", proj, proj)
-        vals = replicate_map(one, 8_000, 106, width=q)
+        vals = replicate_map(one, 8_000, 106)
         for k in range(q):
             mean, se = mean_and_se(vals[:, k])
             if k == 0:
@@ -259,6 +258,12 @@ class TestGramSchmidtCoupling:
         y[:, 1] = y[:, 0]
         with pytest.raises(RuntimeError):
             gram_schmidt_coupling(y)
+
+    def test_nan_draw_raises(self):
+        # NaN makes every ordered comparison false, so the pivot test must fail closed
+        d = Dims(10, 3, 2)
+        with pytest.raises(RuntimeError, match="pivot nan"):
+            _haar_factor(*_haar_rows(d, NanStream(12, 2)))
 
     def test_too_many_columns(self):
         with pytest.raises(ValueError):
@@ -297,7 +302,6 @@ class TestCoupledPair:
             ),
             10_000,
             107,
-            width=2,
         )
         m1, s1 = mean_and_se(vals[:, 0])
         m2, s2 = mean_and_se(vals[:, 1])
@@ -312,7 +316,6 @@ class TestCoupledPair:
             ),
             8_000,
             108,
-            width=2,
         )
         direct = replicate_map(
             lambda s, _: np.array(
@@ -321,7 +324,6 @@ class TestCoupledPair:
             ),
             8_000,
             109,
-            width=2,
         )
         for col in (0, 1):
             mc, sc = mean_and_se(coupled[:, col])
