@@ -309,8 +309,8 @@ def _cmd_sample(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
     for g_index, d in enumerate(config.grid):
         stream = RngStream(config.master_seed, g_index)
         if config.sample_kind == "coupled":
-            pair = sample_coupled_pair(d, stream)
-            blocks = {"coupled-y": pair.y_block, "coupled-gamma": pair.gamma_block}
+            y_top, gamma = sample_coupled_pair(d, stream)
+            blocks = {"coupled-y": y_top, "coupled-gamma": gamma}
         elif config.sample_kind == "haar":
             blocks = {"haar": sample_haar_submatrix(d, stream)}
         else:
@@ -370,7 +370,7 @@ def _cmd_distance(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
                 row["status"] = "NO_DRAW_IN_SUPPORT"
             except UnsupportedRegimeError:
                 row["status"] = "UNSUPPORTED_REGIME"
-            except RuntimeError as exc:  # a corner outside the support or a degenerate pivot
+            except RuntimeError as exc:  # a non-finite draw, an off-support corner, a bad pivot
                 print(f"error: {kind} at n={d.n} p={d.p} q={d.q}: {exc}", file=sys.stderr)
                 row["status"] = "FAIL"
             yield row, []

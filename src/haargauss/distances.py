@@ -28,7 +28,6 @@ __all__ = [
     "estimate_tv",
     "estimate_kl",
     "estimate_hellinger",
-    "estimate_tv_from_haar",
     "tv_limit_lower_bound",
     "kl_limit",
     "hellinger_sq_limit",
@@ -44,7 +43,7 @@ class DistanceKind(Enum):
 class NoDrawInSupportError(UnsupportedRegimeError):
     """No Gaussian block has a ratio distinguishable from 0 (each lies
     outside the corner density's support or rounds to ratio 0 there), so the
-    estimate is a constant with a zero standard error."""
+    estimate is a constant whose standard error is zero or at rounding level."""
 
 
 @dataclass(frozen=True)
@@ -78,31 +77,32 @@ def _estimate(
     replicates: int,
     master_seed: int,
     kind: DistanceKind,
-    on_corner: bool,
     term: Callable[[np.ndarray], np.ndarray],
 ) -> EstimateWithError:
     """Mean and standard error of ``term(log f/g)`` over replicate draws.
 
-    The draw is a Gaussian p x q block (law g) or, with ``on_corner``, sqrt(n)
-    times a Haar corner (law f).  A Gaussian block may legally fall outside
+    KL draws sqrt(n) times a Haar corner (law f); the other kinds draw a
+    Gaussian p x q block (law g).  A Gaussian block may legally fall outside
     the support of f and enters ``term`` with log ratio -inf; a corner sample
     can only do so through a sampler or density defect (the event has
-    probability zero), so it aborts the run with diagnostics.  When the
-    per-draw terms do not vary, the estimate has a zero standard error and
-    carries no information (far from the critical curve every Gaussian block
-    has a ratio that rounds to 0), and ``NoDrawInSupportError`` is raised.
-    The Hellinger kind reports one minus the mean, the squared distance.
+    probability zero), so it aborts the run with diagnostics.  The Hellinger
+    kind reports one minus the mean, the squared distance.  When the per-draw
+    terms vary only at rounding level, the standard error is at most 64 eps
+    times max(1, |estimate|) and carries no information (far from the
+    critical curve every Gaussian block has a ratio that rounds to 0), and
+    ``NoDrawInSupportError`` is raised.
     """
-    log_kn = log_kn_exact(d).log_kn
+    log_kn = log_kn_exact(d)
     root_n = math.sqrt(d.n)
+    draws_corner = kind is DistanceKind.KL
 
     def one(stream: RngStream, index: int) -> float:
-        if on_corner:
+        if draws_corner:
             point = root_n * sample_haar_submatrix(d, stream)
         else:
             point = stream.standard_normal((d.p, d.q))
         log_ratio = log_kn + log_ln(point, d)
-        if on_corner and log_ratio == NEG_INFINITY:
+        if draws_corner and log_ratio == NEG_INFINITY:
             top = float(np.max(np.abs(point)))
             raise RuntimeError(
                 "corner sample fell outside the density support; this indicates a "
@@ -114,13 +114,13 @@ def _estimate(
     values = term(replicate_map(one, replicates, master_seed))
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(values.size))
-    if se == 0.0:
-        raise NoDrawInSupportError(
-            f"the {replicates} per-draw terms do not vary: no Gaussian block has a "
-            f"ratio distinguishable from 0 (dims={d})"
-        )
     if kind is DistanceKind.HELLINGER:
         mean = 1.0 - mean
+    if se <= 64 * np.finfo(float).eps * max(1.0, abs(mean)):
+        raise NoDrawInSupportError(
+            f"the {replicates} per-draw terms vary only at rounding level: no Gaussian "
+            f"block has a ratio distinguishable from 0 (dims={d})"
+        )
     return EstimateWithError(mean, se, replicates, kind)
 
 
@@ -134,7 +134,7 @@ def estimate_tv(
     passing it."""
     thread_count(threads)
     return _estimate(
-        d, replicates, master_seed, DistanceKind.TV, False,
+        d, replicates, master_seed, DistanceKind.TV,
         lambda log_ratio: np.abs(np.exp(log_ratio) - 1.0),
     )
 
@@ -148,7 +148,7 @@ def estimate_kl(
     passing it."""
     thread_count(threads)
     return _estimate(
-        d, replicates, master_seed, DistanceKind.KL, True, lambda log_ratio: log_ratio
+        d, replicates, master_seed, DistanceKind.KL, lambda log_ratio: log_ratio
     )
 
 
@@ -156,18 +156,8 @@ def estimate_hellinger(d: Dims, replicates: int, master_seed: int) -> EstimateWi
     """Squared Hellinger estimate: one minus the mean of exp(log ratio / 2)
     over Gaussian blocks; out-of-support samples contribute 0 to that mean."""
     return _estimate(
-        d, replicates, master_seed, DistanceKind.HELLINGER, False,
+        d, replicates, master_seed, DistanceKind.HELLINGER,
         lambda log_ratio: np.exp(0.5 * log_ratio),
-    )
-
-
-def estimate_tv_from_haar(d: Dims, replicates: int, master_seed: int) -> EstimateWithError:
-    """Total variation in its corner-sample form, the mean of
-    |1 - exp(-log ratio)| over scaled corner samples; agrees with
-    :func:`estimate_tv` in expectation and serves as its cross-check."""
-    return _estimate(
-        d, replicates, master_seed, DistanceKind.TV, True,
-        lambda log_ratio: np.abs(1.0 - np.exp(-log_ratio)),
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .sampling import Dims
 
@@ -55,23 +55,6 @@ class MonomialPattern(Enum):
     G11_4_G21SQ = "g11_4_g21sq"
 
 
-# smallest matrix order for which each pattern involves distinct rows/columns
-_PATTERN_MIN_N = {
-    MonomialPattern.G11_SQ: 2,
-    MonomialPattern.G11_4: 2,
-    MonomialPattern.G11SQ_G12SQ: 2,
-    MonomialPattern.G11SQ_G22SQ: 2,
-    MonomialPattern.CYCLE4: 2,
-    MonomialPattern.TRIPLE_COL: 3,
-    MonomialPattern.CYCLE4_G23SQ: 3,
-    MonomialPattern.G11SQ_G21SQ_G22SQ: 2,
-    MonomialPattern.CYCLE4_G22CUBE: 2,
-    MonomialPattern.CYCLE6: 3,
-    MonomialPattern.G11SQ_G21SQ: 2,
-    MonomialPattern.G11_4_G21SQ: 2,
-}
-
-
 def double_factorial(k: int) -> int:
     """(k)!! for odd k >= -1, with (-1)!! = 1 by convention."""
     if k < -1 or k % 2 == 0:
@@ -107,38 +90,33 @@ def dirichlet_moment(m: int, a: Sequence[int]) -> Fraction:
     return Fraction(num, den)
 
 
+# per pattern: the smallest matrix order at which its rows and columns are
+# distinct, and its exact mean as a function of that order n
+_ENTRY_MOMENTS: dict[MonomialPattern, tuple[int, Callable[[int], Fraction]]] = {
+    MonomialPattern.G11_SQ: (2, lambda n: Fraction(1, n)),
+    MonomialPattern.G11_4: (2, lambda n: Fraction(3, n * (n + 2))),
+    MonomialPattern.G11SQ_G12SQ: (2, lambda n: Fraction(1, n * (n + 2))),
+    MonomialPattern.G11SQ_G22SQ: (2, lambda n: Fraction(n + 1, n * (n - 1) * (n + 2))),
+    MonomialPattern.CYCLE4: (2, lambda n: Fraction(-1, n * (n - 1) * (n + 2))),
+    MonomialPattern.TRIPLE_COL: (3, lambda n: Fraction(1, n * (n + 2) * (n + 4))),
+    MonomialPattern.CYCLE4_G23SQ: (3, lambda n: Fraction(-1, (n - 1) * n * (n + 2) * (n + 4))),
+    MonomialPattern.G11SQ_G21SQ_G22SQ: (
+        2,
+        lambda n: Fraction(1, (n - 1) * n * (n + 2)) - Fraction(3, (n - 1) * n * (n + 2) * (n + 4)),
+    ),
+    MonomialPattern.CYCLE4_G22CUBE: (2, lambda n: Fraction(-3, (n - 1) * n * (n + 2) * (n + 4))),
+    MonomialPattern.CYCLE6: (3, lambda n: Fraction(2, (n - 2) * (n - 1) * n * (n + 2) * (n + 4))),
+    MonomialPattern.G11SQ_G21SQ: (2, lambda n: Fraction(1, n * (n + 2))),
+    MonomialPattern.G11_4_G21SQ: (2, lambda n: Fraction(3, n * (n + 2) * (n + 4))),
+}
+
+
 def entry_monomial_moment(pattern: MonomialPattern, n: int) -> Fraction:
     """Exact mean of the given entry monomial for matrix order n."""
-    min_n = _PATTERN_MIN_N[pattern]
+    min_n, formula = _ENTRY_MOMENTS[pattern]
     if n < min_n:
         raise ValueError(f"pattern {pattern.name} requires n >= {min_n}, got {n}")
-    if pattern is MonomialPattern.G11_SQ:
-        return Fraction(1, n)
-    if pattern is MonomialPattern.G11_4:
-        return Fraction(3, n * (n + 2))
-    if pattern is MonomialPattern.G11SQ_G12SQ:
-        return Fraction(1, n * (n + 2))
-    if pattern is MonomialPattern.G11SQ_G22SQ:
-        return Fraction(n + 1, n * (n - 1) * (n + 2))
-    if pattern is MonomialPattern.CYCLE4:
-        return Fraction(-1, n * (n - 1) * (n + 2))
-    if pattern is MonomialPattern.TRIPLE_COL:
-        return Fraction(1, n * (n + 2) * (n + 4))
-    if pattern is MonomialPattern.CYCLE4_G23SQ:
-        return Fraction(-1, (n - 1) * n * (n + 2) * (n + 4))
-    if pattern is MonomialPattern.G11SQ_G21SQ_G22SQ:
-        return Fraction(1, (n - 1) * n * (n + 2)) - Fraction(
-            3, (n - 1) * n * (n + 2) * (n + 4)
-        )
-    if pattern is MonomialPattern.CYCLE4_G22CUBE:
-        return Fraction(-3, (n - 1) * n * (n + 2) * (n + 4))
-    if pattern is MonomialPattern.CYCLE6:
-        return Fraction(2, (n - 2) * (n - 1) * n * (n + 2) * (n + 4))
-    if pattern is MonomialPattern.G11SQ_G21SQ:
-        return Fraction(1, n * (n + 2))
-    if pattern is MonomialPattern.G11_4_G21SQ:
-        return Fraction(3, n * (n + 2) * (n + 4))
-    raise ValueError(f"unhandled pattern {pattern!r}")
+    return formula(n)
 
 
 def trace_power_moment(k: int, d: Dims) -> Fraction:

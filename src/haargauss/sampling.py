@@ -21,8 +21,6 @@ from .numerics import RngStream
 
 __all__ = [
     "Dims",
-    "CoupledPair",
-    "GramSchmidtResult",
     "sample_gaussian_matrix",
     "sample_haar_submatrix",
     "sample_coupled_pair",
@@ -53,34 +51,6 @@ class Dims:
     def coupling_sigma(self) -> float:
         """pq^2/n, the scale parameter of the coupled Euclidean distance."""
         return self.p * self.q * self.q / self.n
-
-
-@dataclass(frozen=True)
-class CoupledPair:
-    """Top-left p x q blocks of a Gaussian matrix and of the orthogonal
-    matrix obtained by Gram-Schmidt on the same Gaussian columns."""
-
-    y_block: np.ndarray
-    gamma_block: np.ndarray
-
-
-@dataclass(frozen=True)
-class GramSchmidtResult:
-    """Orthonormalized columns plus the per-column intermediates.
-
-    ``w`` holds the residual vectors before normalization (column k of ``w``
-    is the component of Gaussian column k orthogonal to the previous
-    orthonormal columns), and ``w_norms`` their lengths.  The projection of
-    column k onto the span of the previous columns is ``y[:, k] - w[:, k]``.
-    """
-
-    y: np.ndarray
-    q: np.ndarray
-    w: np.ndarray
-    w_norms: np.ndarray
-
-    def projections(self) -> np.ndarray:
-        return self.y - self.w
 
 
 def sample_gaussian_matrix(rows: int, cols: int, stream: RngStream) -> np.ndarray:
@@ -125,20 +95,18 @@ def _haar_rows(d: Dims, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
     return y_top, _wishart_rows(d.n - d.p, d.q, stream)
 
 
-def gram_schmidt_coupling(y: np.ndarray) -> GramSchmidtResult:
-    """Gram-Schmidt on the columns of y, read off its positive-diagonal QR:
-    w_norms = diag(R) and the projections Q triu(R, 1).  A pivot below
-    ``PIVOT_TOL`` raises ``RuntimeError``."""
+def gram_schmidt_coupling(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt on the columns of y as its positive-diagonal QR, (Q, R):
+    column k's residual has length R_kk and its projection onto the previous
+    columns is Q triu(R, 1) e_k.  A pivot below ``PIVOT_TOL`` raises
+    ``RuntimeError``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise ValueError(f"expected a 2-d array of columns, got shape {y.shape}")
     n, q = y.shape
     if q > n:
         raise ValueError(f"cannot orthonormalize {q} columns in dimension {n}")
-    qmat, r = _haar_factor(y, np.empty((0, q)))
-    return GramSchmidtResult(
-        y=y, q=qmat, w=y - qmat @ np.triu(r, 1), w_norms=np.diagonal(r).copy()
-    )
+    return _haar_factor(y, np.empty((0, q)))
 
 
 def sample_haar_submatrix(d: Dims, stream: RngStream) -> np.ndarray:
@@ -151,11 +119,11 @@ def sample_haar_submatrix(d: Dims, stream: RngStream) -> np.ndarray:
     return _haar_factor(*_haar_rows(d, stream))[0]
 
 
-def sample_coupled_pair(d: Dims, stream: RngStream) -> CoupledPair:
-    """Draw the coupled pair of p x q blocks (Gaussian, Haar) on one
-    probability space via Gram-Schmidt on shared Gaussian columns."""
+def sample_coupled_pair(d: Dims, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the coupled pair of p x q blocks (Gaussian Y_top, Haar corner) on
+    one probability space via Gram-Schmidt on shared Gaussian columns."""
     y_top, b = _haar_rows(d, stream)
-    return CoupledPair(y_block=y_top, gamma_block=_haar_factor(y_top, b)[0])
+    return y_top, _haar_factor(y_top, b)[0]
 
 
 def dump_matrix_csv(matrix: np.ndarray, path: str | Path) -> Path:

@@ -118,6 +118,51 @@ def exact_kl(n: int, p: int, q: int) -> float:
         return float(log_kn + half * (n - p - q - 1) * psi_sum + half * p * q)
 
 
+def q1_distances(n: int, p: int) -> tuple[float, float, float]:
+    """(TV, KL, squared Hellinger) of the scaled n x n Haar corner of shape
+    p x 1 against i.i.d. normals, in the library's conventions (TV as the
+    L1 distance, squared Hellinger as 1 - integral of sqrt(fg)).
+
+    The likelihood ratio depends on z only through t = |z|^2, which is
+    n Beta(p/2, (n - p)/2) under the corner and chi-square(p) under the
+    Gaussian, so each distance is the same distance between those two laws
+    of t.  Gaussian mass beyond t = n, where the corner has none, adds its
+    weight to TV.  The log ratio is (n - p - 2)/2 ln(1 - t/n) + t/2 plus a
+    constant, concave or convex in t, so the densities cross at most twice,
+    once on each side of its extremum t = p + 2; the quadrature is split
+    there and at each crossing.  Evaluated in 30-digit arithmetic.
+    """
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(p) / 2, mpmath.mpf(n - p) / 2
+        n_mp = mpmath.mpf(n)
+        log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+        log_chi = a * mpmath.log(2) + mpmath.loggamma(a)
+
+        def log_f(t):
+            u = t / n_mp
+            return (a - 1) * mpmath.log(u) + (b - 1) * mpmath.log1p(-u) - log_beta - mpmath.log(n_mp)
+
+        def log_g(t):
+            return (a - 1) * mpmath.log(t) - t / 2 - log_chi
+
+        def log_ratio(t):
+            return log_f(t) - log_g(t)
+
+        edges = [mpmath.mpf(0), mpmath.mpf(p + 2), n_mp] if p + 2 < n else [mpmath.mpf(0), n_mp]
+        inner = mpmath.mpf(10) ** -25 * n_mp
+        crossings = [
+            mpmath.findroot(log_ratio, (lo + inner, hi - inner), solver="anderson")
+            for lo, hi in zip(edges[:-1], edges[1:])
+            if log_ratio(lo + inner) * log_ratio(hi - inner) < 0
+        ]
+        points = sorted(edges + crossings)
+        tv = mpmath.quad(lambda t: abs(mpmath.exp(log_f(t)) - mpmath.exp(log_g(t))), points)
+        tv += mpmath.gammainc(a, n_mp / 2, mpmath.inf, regularized=True)
+        kl = mpmath.quad(lambda t: mpmath.exp(log_f(t)) * log_ratio(t), points)
+        hellinger_sq = 1 - mpmath.quad(lambda t: mpmath.exp((log_f(t) + log_g(t)) / 2), points)
+        return float(tv), float(kl), float(hellinger_sq)
+
+
 def explicit_q(y: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on the columns of y as Householder QR with Q formed
     explicitly, each column's sign pinned so that R has a positive diagonal."""

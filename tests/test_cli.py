@@ -258,6 +258,19 @@ class TestDistanceCommand:
         assert lines[1:] == ["60,3,2,kl,10,0,,,FAIL"]
         assert "support" in capsys.readouterr().err
 
+    def test_nan_draw_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
+        import haargauss.parallel as parallel
+
+        # a NaN in a Gaussian block is a sampler defect, not a point
+        # outside the support, so the row is FAIL, not NO_DRAW_IN_SUPPORT
+        monkeypatch.setattr(parallel, "RngStream", NanStream)
+        code = main(["distance", "--n", "60", "--p", "3", "--q", "2", "--kind", "tv",
+                     "-N", "20", "--output-dir", str(tmp_path)])
+        assert code == 1
+        lines = (_run_dir_of(tmp_path) / "results.csv").read_text().splitlines()
+        assert lines[1:] == ["60,3,2,tv,20,0,,,FAIL"]
+        assert "not finite" in capsys.readouterr().err
+
 
 class TestTimingFile:
     @pytest.mark.parametrize("argv", [
@@ -493,12 +506,12 @@ class TestBenchmarkHooks:
         stream = RngStream(0, 1)
         assert isinstance(stream.gaussian(), float)
         y = stream.standard_normal((20, 3))
-        assert gram_schmidt_coupling(y).q.shape == (20, 3)
+        assert gram_schmidt_coupling(y)[0].shape == (20, 3)
         assert sample_gaussian_matrix(4, 3, stream).shape == (4, 3)
         d = Dims(20, 3, 3)
         assert sample_haar_submatrix(d, stream).shape == (3, 3)
         assert np.isfinite(cholesky_logdet(np.eye(3) - y[:3].T @ y[:3] / 100))
-        assert np.isfinite(log_kn_exact(d).log_kn + log_ln(y[:3], d))
+        assert np.isfinite(log_kn_exact(d) + log_ln(y[:3], d))
         for estimate in (estimate_tv, estimate_kl):
             assert estimate(d, 4, 0, threads=1).replicates == 4
         assert replicate_map(lambda s, j: 0.0, 4, 0, threads=2).shape == (4,)

@@ -10,13 +10,12 @@ from haargauss import (
     estimate_hellinger,
     estimate_kl,
     estimate_tv,
-    estimate_tv_from_haar,
     hellinger_sq_limit,
     kl_limit,
     tv_limit_lower_bound,
 )
 
-from conftest import assert_within_se, exact_kl, gauss_legendre_expectation
+from conftest import NanStream, assert_within_se, exact_kl, gauss_legendre_expectation, q1_distances
 
 
 class TestLimitOracles:
@@ -87,15 +86,30 @@ class TestEstimateContracts:
         with pytest.raises(ValueError):
             _ = est.hellinger
 
+    def test_rounding_level_terms_raise(self):
+        # at (400, 100, 100) every square-root ratio term is below 1e-30, so
+        # 1 - mean rounds to exactly 1 while the standard error is about 1e-36
+        from haargauss import NoDrawInSupportError
+
+        with pytest.raises(NoDrawInSupportError, match="rounding level"):
+            estimate_hellinger(Dims(400, 100, 100), 500, 5)
+
+    def test_nan_gaussian_block_raises(self, monkeypatch):
+        # a NaN draw is a sampler defect, not a block outside the support
+        import haargauss.parallel as parallel
+
+        monkeypatch.setattr(parallel, "RngStream", NanStream)
+        for est in (estimate_tv, estimate_hellinger):
+            with pytest.raises(RuntimeError, match="not finite"):
+                est(Dims(60, 3, 2), 20, 0)
+
     def test_kl_abort_on_support_violation(self, monkeypatch):
-        # a corner sample outside the support is a bug, not a data point, in
-        # both estimators that draw corners
+        # a corner sample outside the support is a bug, not a data point
         import haargauss.distances as distances_module
 
         monkeypatch.setattr(distances_module, "log_ln", lambda *_: float("-inf"))
-        for est in (estimate_kl, estimate_tv_from_haar):
-            with pytest.raises(RuntimeError, match="support"):
-                est(Dims(50, 3, 2), 10, 0)
+        with pytest.raises(RuntimeError, match="support"):
+            estimate_kl(Dims(50, 3, 2), 10, 0)
 
 
 class TestDeterminism:
@@ -124,12 +138,14 @@ class TestEstimatorStatistics:
         assert he.hellinger <= 1.0
         assert kl.mean >= -3 * kl.std_error
 
-    def test_cross_form_agreement(self):
-        d = Dims(300, 8, 4)
-        gaussian_form = estimate_tv(d, 6000, 31)
-        corner_form = estimate_tv_from_haar(d, 6000, 32)
-        joint = math.hypot(gaussian_form.std_error, corner_form.std_error)
-        assert abs(gaussian_form.mean - corner_form.mean) <= 4 * joint
+    @pytest.mark.parametrize("n,p", [(60, 20), (400, 100), (400, 380)])
+    def test_q1_exact_oracle(self, n, p):
+        # at q = 1 each distance is a 1-D integral over t = |z|^2
+        d = Dims(n, p, 1)
+        estimators = (estimate_tv, estimate_kl, estimate_hellinger)
+        for seed, est, value in zip((31, 32, 33), estimators, q1_distances(n, p)):
+            got = est(d, 20_000, seed)
+            assert_within_se(got.mean, value, got.std_error, k=4, label=f"{got.kind.value} at {d}")
 
     def test_pinsker_and_sandwich(self):
         d = Dims(400, 8, 4)

@@ -216,21 +216,23 @@ class TestNFree:
 class TestGramSchmidtCoupling:
     def test_columns_orthonormal(self):
         y = RngStream(8, 0).standard_normal((200, 12))
-        gs = gram_schmidt_coupling(y)
-        gram = gs.q.T @ gs.q
+        qmat, _ = gram_schmidt_coupling(y)
+        gram = qmat.T @ qmat
         assert np.max(np.abs(gram - np.eye(12))) <= 1e-9
 
     def test_residual_plus_projection_reconstructs(self):
         y = RngStream(8, 1).standard_normal((50, 7))
-        gs = gram_schmidt_coupling(y)
-        assert np.max(np.abs(gs.w + gs.projections() - y)) <= 1e-10
-        assert np.allclose(np.linalg.norm(gs.w, axis=0), gs.w_norms)
+        qmat, r = gram_schmidt_coupling(y)
+        assert np.max(np.abs(qmat @ r - y)) <= 1e-10
+        # column k's residual after projecting out the previous columns
+        w = y - qmat @ np.triu(r, 1)
+        assert np.allclose(np.linalg.norm(w, axis=0), np.diagonal(r))
 
     def test_w_norm_squared_mean(self):
         # residual column k has squared length distributed chi-square(n-k+1)
         n, q = 30, 5
         vals = replicate_map(
-            lambda s, _: gram_schmidt_coupling(s.standard_normal((n, q))).w_norms ** 2,
+            lambda s, _: np.diagonal(gram_schmidt_coupling(s.standard_normal((n, q)))[1]) ** 2,
             8_000,
             105,
         )
@@ -242,8 +244,8 @@ class TestGramSchmidtCoupling:
         # projection onto the span of k-1 previous columns: chi-square(k-1)
         n, q = 30, 5
         def one(stream, _):
-            gs = gram_schmidt_coupling(stream.standard_normal((n, q)))
-            proj = gs.projections()
+            qmat, r = gram_schmidt_coupling(stream.standard_normal((n, q)))
+            proj = qmat @ np.triu(r, 1)
             return np.einsum("ij,ij->j", proj, proj)
         vals = replicate_map(one, 8_000, 106)
         for k in range(q):
@@ -285,20 +287,20 @@ class TestCoupledPair:
         for d in (Dims(15, 4, 3), Dims(200, 50, 1), Dims(12, 12, 12)):
             pair = sample_coupled_pair(d, RngStream(112, d.n))
             corner = sample_haar_submatrix(d, RngStream(112, d.n))
-            assert pair.gamma_block.tobytes() == corner.tobytes()
+            assert pair[1].tobytes() == corner.tobytes()
 
     def test_block_shapes(self):
         d = Dims(15, 4, 3)
         pair = sample_coupled_pair(d, RngStream(2, 0))
-        assert pair.y_block.shape == (4, 3)
-        assert pair.gamma_block.shape == (4, 3)
+        assert pair[0].shape == (4, 3)
+        assert pair[1].shape == (4, 3)
 
     def test_exchangeable_entries(self):
         # second moments of entries (1,1) and (2,2) agree
         d = Dims(12, 3, 3)
         vals = replicate_map(
             lambda s, _: np.array(
-                [sample_coupled_pair(d, s).gamma_block[i, i] ** 2 for i in (0, 1)]
+                [sample_coupled_pair(d, s)[1][i, i] ** 2 for i in (0, 1)]
             ),
             10_000,
             107,
@@ -311,8 +313,8 @@ class TestCoupledPair:
         d = Dims(25, 4, 3)
         coupled = replicate_map(
             lambda s, _: np.array(
-                [sample_coupled_pair(d, s).gamma_block[0, 0],
-                 sample_coupled_pair(d, s).gamma_block[0, 0] ** 2]
+                [sample_coupled_pair(d, s)[1][0, 0],
+                 sample_coupled_pair(d, s)[1][0, 0] ** 2]
             ),
             8_000,
             108,
