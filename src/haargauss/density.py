@@ -71,28 +71,31 @@ def log_kn_asymptotic(d: Dims) -> float:
     )
 
 
-def log_ln(z_block: np.ndarray, d: Dims) -> float:
+def log_ln(z_block: np.ndarray, d: Dims) -> float | np.ndarray:
     """ln of the eigenvalue factor at an evaluation point z (a p x q block
-    on the Gaussian scale).
+    on the Gaussian scale), or the array of it over a stack ``(..., p, q)``.
 
     Equals c_n * ln det(I - z'z/n) + tr(z'z)/2, c_n = (n - p - q - 1)/2,
     when all Gram eigenvalues of z'z/n lie in (0, 1), and -inf otherwise; the
     Cholesky probe detects the out-of-support case as a non-PD matrix.  A
     block holding a NaN or an infinity is a sampler defect, not a point
-    outside the support, and raises ``RuntimeError``.
+    outside the support, and raises ``RuntimeError``.  A stack member's value
+    is bit for bit its value on its own.
     """
     z = np.asarray(z_block, dtype=float)
-    if z.shape != (d.p, d.q):
-        raise ValueError(f"expected a {d.p} x {d.q} block, got shape {z.shape}")
+    if z.ndim < 2 or z.shape[-2:] != (d.p, d.q):
+        raise ValueError(f"expected a {d.p} x {d.q} block or a stack of them, got shape {z.shape}")
     # the Gram matrix on the smaller side of the block
-    gram = z.T @ z if d.q <= d.p else z @ z.T
-    trace = float(np.einsum("ij,ij->", z, z))
-    if not math.isfinite(trace):
+    gram = z.swapaxes(-1, -2) @ z if d.q <= d.p else z @ z.swapaxes(-1, -2)
+    trace = np.einsum("...ij,...ij->...", z, z)
+    if not np.isfinite(trace).all():
         raise RuntimeError(f"evaluation point is not finite (dims={d}, tr(z'z)={trace})")
-    shifted = np.eye(gram.shape[0]) - gram / d.n
+    shifted = np.eye(gram.shape[-1]) - gram / d.n
     logdet = cholesky_logdet(shifted)
-    if logdet is None:
-        return NEG_INFINITY
     # integer arithmetic first; n, p, q can be large enough that naive float
     # subtraction of the pieces would round
-    return (d.n - d.p - d.q - 1) / 2.0 * logdet + 0.5 * trace
+    c_n = (d.n - d.p - d.q - 1) / 2.0
+    if z.ndim == 2:
+        return NEG_INFINITY if logdet is None else c_n * logdet + 0.5 * float(trace)
+    inside = ~np.isnan(logdet)  # masked before the product: c_n is 0 at n = p + q + 1
+    return np.where(inside, c_n * np.where(inside, logdet, 0.0) + 0.5 * trace, NEG_INFINITY)

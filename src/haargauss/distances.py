@@ -94,15 +94,11 @@ def _estimate(
     """
     log_kn = log_kn_exact(d)
     root_n = math.sqrt(d.n)
-    draws_corner = kind is DistanceKind.KL
 
     def one(stream: RngStream, index: int) -> float:
-        if draws_corner:
-            point = root_n * sample_haar_submatrix(d, stream)
-        else:
-            point = stream.standard_normal((d.p, d.q))
+        point = root_n * sample_haar_submatrix(d, stream)
         log_ratio = log_kn + log_ln(point, d)
-        if draws_corner and log_ratio == NEG_INFINITY:
+        if log_ratio == NEG_INFINITY:
             top = float(np.max(np.abs(point)))
             raise RuntimeError(
                 "corner sample fell outside the density support; this indicates a "
@@ -111,7 +107,12 @@ def _estimate(
             )
         return log_ratio
 
-    values = term(replicate_map(one, replicates, master_seed))
+    if kind is DistanceKind.KL:
+        log_ratios = replicate_map(one, replicates, master_seed)
+    else:  # Gaussian blocks, evaluated in stacks
+        log_ratios = replicate_map(lambda stream, _: stream.standard_normal((d.p, d.q)), replicates, master_seed,
+                                   batch=lambda stack: log_kn + log_ln(stack, d))
+    values = term(log_ratios)
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(values.size))
     if kind is DistanceKind.HELLINGER:

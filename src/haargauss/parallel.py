@@ -2,9 +2,9 @@
 
 Each replicate draws from its own counter-based substream keyed by the
 replicate index, and the replicates run in index order on one worker, so the
-vector of per-replicate values depends only on the function, the replicate
-count and the master seed.  Aggregation always happens on that index-ordered
-vector via numpy's fixed-shape pairwise summation.
+vector of per-replicate values depends only on ``fn`` and ``batch``, the
+replicate count and the master seed.  Aggregation always happens on that
+index-ordered vector via numpy's fixed-shape pairwise summation.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 from .numerics import RngStream
 
 __all__ = ["thread_count", "replicate_map"]
+
+BLOCK_BYTES = 1 << 16  # the most bytes of fn outputs per ``batch`` call: a cost, not a result
 
 
 def thread_count(requested: int | None = None) -> int:
@@ -35,16 +37,28 @@ def replicate_map(
     replicates: int,
     master_seed: int,
     threads: int | None = None,
+    batch: Callable[[np.ndarray], np.ndarray] = np.asarray,
 ) -> np.ndarray:
     """Evaluate ``fn(stream, index)`` for index 0..replicates-1, in order.
 
     Returns the values stacked by replicate index: shape ``(replicates,)``
     for a scalar ``fn`` and ``(replicates, k)`` for one returning k values.
-    ``threads`` is checked by :func:`thread_count` and otherwise ignored.
+    The outputs are stacked in blocks of at most ``BLOCK_BYTES`` (at least one
+    output) and ``batch`` maps each block to one value per member, so a
+    ``batch`` that treats members independently makes the result independent
+    of the block size.  The streams share one generator re-keyed per replicate
+    (:meth:`RngStream.rekeyed`), drawing exactly what fresh streams would.
+    ``threads`` is checked and otherwise ignored.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     thread_count(threads)
-    return np.array(
-        [fn(RngStream(master_seed, index), index) for index in range(replicates)], dtype=float
-    )
+    generator = RngStream(master_seed).generator
+    values, block, size = [], [], 0
+    for index in range(replicates):
+        block.append(fn(RngStream(master_seed, index).rekeyed(generator), index))
+        size = size or max(1, BLOCK_BYTES // max(1, np.asarray(block[0]).nbytes))  # outputs per block
+        if len(block) == size or index == replicates - 1:
+            stack, block = np.array(block), []  # the draws are freed before batch runs
+            values.append(batch(stack))
+    return np.concatenate(values, dtype=float)

@@ -258,6 +258,14 @@ class TestDistanceCommand:
         assert lines[1:] == ["60,3,2,kl,10,0,,,FAIL"]
         assert "support" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_c_n_is_not_an_invalid_product(self, tmp_path):
+        # at n = p + q + 1, c_n = 0 multiplies the log det of every block, so
+        # blocks outside the support must be masked out before the product
+        code = main(["distance", "--n", "12", "--p", "5", "--q", "6", "-N", "300", "--kind", "all",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+
     def test_nan_draw_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
         import haargauss.parallel as parallel
 

@@ -117,6 +117,32 @@ class TestLogLn:
             log_ln(z, Dims(10, 3, 2))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLogLnStack:
+    # (60, 20, 20) mixes members in and out of the support, (12, 5, 6) has
+    # c_n = 0 and q > p, (400, 190, 190) has every member outside
+    @pytest.mark.parametrize("n, p, q", [(60, 20, 20), (2000, 10, 10), (200, 3, 20), (100, 99, 1),
+                                         (12, 5, 6), (400, 190, 190)])
+    def test_stack_equals_blocks_bit_for_bit(self, n, p, q):
+        d = Dims(n, p, q)
+        z = RngStream(4, 0).standard_normal((2, 7, p, q))
+        single = np.array([[log_ln(block, d) for block in row] for row in z])
+        stacked = log_ln(z, d)
+        assert stacked.shape == (2, 7) and np.array_equal(stacked, single)
+        if (n, p, q) == (60, 20, 20):
+            assert np.isfinite(single).any() and (single == NEG_INFINITY).any()
+
+    def test_nan_member_raises(self):
+        z = RngStream(4, 1).standard_normal((5, 4, 3))
+        z[2, 1, 0] = np.nan
+        with pytest.raises(RuntimeError, match="not finite"):
+            log_ln(z, Dims(20, 4, 3))
+
+    def test_wrong_block_shape(self):
+        with pytest.raises(ValueError):
+            log_ln(np.zeros((5, 3, 4)), Dims(20, 4, 3))
+
+
 @st.composite
 def _blocks(draw):
     """(z, n, p, q): a p x q block with entries in [-2 sqrt(n), 2 sqrt(n)]."""

@@ -8,6 +8,7 @@ from haargauss import (
     normal_cdf,
     replicate_map,
 )
+from haargauss import parallel
 
 
 class TestRngStream:
@@ -54,6 +55,69 @@ class TestReplicateMap:
             replicate_map(lambda s, i: 0.0, 0, 0)
 
 
+def _draw(stream, index):
+    return stream.standard_normal((4, 2))  # 64 bytes: 1024 draws to a block
+
+
+def _elementwise(stack):
+    return stack[:, 0, 0] * stack[:, 3, 1] - stack[:, 2, 0]
+
+
+class TestBatchedReplicateMap:
+    BLOCK = parallel.BLOCK_BYTES // 64
+
+    @staticmethod
+    def direct(replicates, seed):
+        return _elementwise(np.array([_draw(RngStream(seed, i), i) for i in range(replicates)]))
+
+    @staticmethod
+    def recording(sizes):
+        def batch(stack):
+            sizes.append(len(stack))
+            return _elementwise(stack)
+        return batch
+
+    @pytest.mark.parametrize("replicates", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_matches_one_batch_of_fresh_streams(self, replicates):
+        sizes = []
+        out = replicate_map(_draw, replicates, 31, batch=self.recording(sizes))
+        assert out.dtype == np.float64 and np.array_equal(out, self.direct(replicates, 31))
+        full, rest = divmod(replicates, self.BLOCK)
+        assert sizes == [self.BLOCK] * full + ([rest] if rest else [])
+
+    @pytest.mark.parametrize("block_bytes", ["one draw", "whole run"])
+    def test_block_size_is_not_a_result(self, monkeypatch, block_bytes):
+        replicates = 700
+        monkeypatch.setattr(parallel, "BLOCK_BYTES", 64 if block_bytes == "one draw" else 64 * replicates)
+        sizes = []
+        out = replicate_map(_draw, replicates, 8, batch=self.recording(sizes))
+        assert np.array_equal(out, self.direct(replicates, 8))
+        assert sizes == ([1] * replicates if block_bytes == "one draw" else [replicates])
+
+    def test_default_batch_over_several_blocks(self):
+        # three draws of 24 bytes: 2730 to a block, so 6000 replicates make three
+        fn = lambda s, i: s.standard_normal(3)
+        out = replicate_map(fn, 6000, 12)
+        assert out.shape == (6000, 3) and np.array_equal(out, np.array([fn(RngStream(12, i), i) for i in range(6000)]))
+
+    def test_stream_that_never_draws_leaves_the_generator_alone(self):
+        generator = RngStream(5, 2).generator
+        expected = RngStream(5, 2).standard_normal(4)
+        RngStream(5, 9).rekeyed(generator)
+        assert np.array_equal(generator.standard_normal(4), expected)
+
+    def test_rekeyed_generator_matches_fresh_stream(self):
+        generator = RngStream(5).generator
+        for index in (3, 0, 2**64 - 1, 3):
+            # the last stream stopped mid-buffer, holding half a 64-bit word
+            generator.integers(0, 1000, size=3, dtype=np.uint32)
+            for draw in (lambda s: s.standard_normal((3, 5)), lambda s: s.chi_square(np.arange(1.0, 7.0)),
+                         lambda s: s.generator.integers(0, 2**32, size=5, dtype=np.uint32)):
+                fresh = draw(RngStream(5, index))
+                assert np.array_equal(draw(RngStream(5, index).rekeyed(generator)), fresh)
+                generator.integers(0, 1000, size=1, dtype=np.uint32)
+
+
 class TestNormalCdf:
     def test_center_and_tail(self):
         assert normal_cdf(0.0) == 0.5
@@ -78,6 +142,22 @@ class TestCholeskyLogdet:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             cholesky_logdet(np.ones((2, 3)))
+
+    def test_failed_stack_of_one_is_factored_once(self, monkeypatch):
+        calls, factor = [], np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return factor(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        bad, good = np.diag([1.0, -1.0]), np.diag([2.0, 3.0])
+        assert cholesky_logdet(bad) is None and len(calls) == 1
+        assert np.isnan(cholesky_logdet(bad[None])).all() and len(calls) == 2
+        # a mixed stack falls back to one member at a time
+        out = cholesky_logdet(np.stack([good, bad, good]))
+        assert np.isnan(out[1]) and out[0] == out[2] == cholesky_logdet(good)
+        assert calls[2:] == [(3, 2, 2), (2, 2), (2, 2), (2, 2), (1, 2, 2)]
 
     def test_agrees_with_eigensolver(self):
         rng = np.random.default_rng(7)
