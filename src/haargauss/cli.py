@@ -54,6 +54,8 @@ SAMPLE_KINDS = ("gaussian", "haar", "coupled")
 CHOICES = {"format": ("csv", "json"), "kind": DISTANCE_KINDS, "sample_kind": SAMPLE_KINDS}
 # random streams are keyed by an unsigned 64-bit seed
 SEED_LIMIT = 2**64
+# the samplers count rows in numpy's int64
+N_LIMIT = 2**63
 
 
 class ConfigError(ValueError):
@@ -164,6 +166,8 @@ def _grid_from_payload(raw: list, command: Command) -> list[Dims]:
         p = _strict_int("grid entry p", item["p"])
         q = _strict_int("grid entry q", item["q"])
         n = _strict_int("grid entry n", item["n"]) if "n" in item else max(p, q)
+        if n >= N_LIMIT:
+            raise ConfigError(f"grid entry n must be below {N_LIMIT}, got {n}")
         try:
             grid.append(Dims(n=n, p=p, q=q))
         except ValueError as exc:

@@ -71,9 +71,10 @@ def log_kn_asymptotic(d: Dims) -> float:
     )
 
 
-def log_ln(z_block: np.ndarray, d: Dims) -> float | np.ndarray:
-    """ln of the eigenvalue factor at an evaluation point z (a p x q block
-    on the Gaussian scale), or the array of it over a stack ``(..., p, q)``.
+def log_ln(z_block: np.ndarray, d: Dims) -> np.ndarray:
+    """ln of the eigenvalue factor at each evaluation point of a stack
+    ``(..., p, q)`` of blocks on the Gaussian scale, as an array of shape
+    ``z_block.shape[:-2]`` (0-d for one block).
 
     Equals c_n * ln det(I - z'z/n) + tr(z'z)/2, c_n = (n - p - q - 1)/2,
     when all Gram eigenvalues of z'z/n lie in (0, 1), and -inf otherwise; the
@@ -95,7 +96,6 @@ def log_ln(z_block: np.ndarray, d: Dims) -> float | np.ndarray:
     # integer arithmetic first; n, p, q can be large enough that naive float
     # subtraction of the pieces would round
     c_n = (d.n - d.p - d.q - 1) / 2.0
-    if z.ndim == 2:
-        return NEG_INFINITY if logdet is None else c_n * logdet + 0.5 * float(trace)
-    inside = ~np.isnan(logdet)  # masked before the product: c_n is 0 at n = p + q + 1
-    return np.where(inside, c_n * np.where(inside, logdet, 0.0) + 0.5 * trace, NEG_INFINITY)
+    # a NaN log det marks a member outside the support; NaN arithmetic raises
+    # no floating-point warning, even where c_n is 0 (n = p + q + 1)
+    return np.where(np.isnan(logdet), NEG_INFINITY, c_n * logdet + 0.5 * trace)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import NEG_INFINITY, UnsupportedRegimeError, log_kn_exact, log_ln
+from .density import UnsupportedRegimeError, log_kn_exact, log_ln
 from .numerics import RngStream, normal_cdf
 from .parallel import replicate_map, thread_count
 from .sampling import Dims, sample_haar_submatrix
@@ -95,23 +95,20 @@ def _estimate(
     log_kn = log_kn_exact(d)
     root_n = math.sqrt(d.n)
 
-    def one(stream: RngStream, index: int) -> float:
-        point = root_n * sample_haar_submatrix(d, stream)
-        log_ratio = log_kn + log_ln(point, d)
-        if log_ratio == NEG_INFINITY:
-            top = float(np.max(np.abs(point)))
-            raise RuntimeError(
-                "corner sample fell outside the density support; this indicates a "
-                f"sampler or density bug (dims={d}, seed={master_seed}, "
-                f"replicate={index}, max|entry|={top:.6e})"
-            )
-        return log_ratio
+    def draw(stream: RngStream, _: int) -> np.ndarray:
+        if kind is DistanceKind.KL:
+            return root_n * sample_haar_submatrix(d, stream)
+        return stream.standard_normal((d.p, d.q))
 
-    if kind is DistanceKind.KL:
-        log_ratios = replicate_map(one, replicates, master_seed)
-    else:  # Gaussian blocks, evaluated in stacks
-        log_ratios = replicate_map(lambda stream, _: stream.standard_normal((d.p, d.q)), replicates, master_seed,
-                                   batch=lambda stack: log_kn + log_ln(stack, d))
+    log_ratios = replicate_map(draw, replicates, master_seed, batch=lambda stack: log_kn + log_ln(stack, d))
+    if kind is DistanceKind.KL and np.isneginf(log_ratios).any():
+        index = int(np.argmax(np.isneginf(log_ratios)))  # the first corner outside
+        top = float(np.max(np.abs(draw(RngStream(master_seed, index), index))))
+        raise RuntimeError(
+            "corner sample fell outside the density support; this indicates a "
+            f"sampler or density bug (dims={d}, seed={master_seed}, "
+            f"replicate={index}, max|entry|={top:.6e})"
+        )
     values = term(log_ratios)
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(values.size))

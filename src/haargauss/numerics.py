@@ -36,7 +36,7 @@ class RngStream:
     are contractual, not the bit patterns.
     """
 
-    __slots__ = ("master_seed", "replicate_index", "_generator", "_shared")
+    __slots__ = ("master_seed", "replicate_index", "generator")
 
     def __init__(self, master_seed: int, replicate_index: int = 0):
         for name, value in (
@@ -47,25 +47,19 @@ class RngStream:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value!r}")
         self.master_seed = int(master_seed)
         self.replicate_index = int(replicate_index)
-        self._generator: np.random.Generator | None = None
-        self._shared: np.random.Generator | None = None
+        key = np.array([self.master_seed, self.replicate_index], dtype=np.uint64)
+        self.generator = np.random.Generator(np.random.Philox(key=key))
 
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying numpy generator, created lazily from the key."""
-        if self._generator is None:
-            key = np.array([self.master_seed, self.replicate_index], dtype=np.uint64)
-            if self._shared is not None:  # counter-based Philox: counter 0, empty buffer, a fresh one's draws
-                zeros = np.zeros(4, np.uint64)
-                self._shared.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                                                    "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            self._generator = self._shared or np.random.Generator(np.random.Philox(key=key))
-        return self._generator
-
-    def rekeyed(self, generator: np.random.Generator) -> "RngStream":
-        """This stream, drawing bit for bit the same from the Philox ``generator``
-        re-keyed at its first draw; valid until another stream re-keys it."""
-        self._shared = generator
+    def rekey(self, replicate_index: int) -> "RngStream":
+        """This stream moved to ``(master_seed, replicate_index)`` with counter 0
+        and an empty buffer: Philox is counter-based, so it then draws bit for
+        bit what a fresh ``RngStream(master_seed, replicate_index)`` would, at
+        a fraction of the cost of building one."""
+        self.replicate_index = int(replicate_index)
+        key = np.array([self.master_seed, self.replicate_index], dtype=np.uint64)
+        zeros = np.zeros(4, np.uint64)
+        self.generator.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                                              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         return self
 
     def gaussian(self) -> float:
@@ -89,13 +83,14 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def cholesky_logdet(a: np.ndarray) -> float | None | np.ndarray:
-    """ln det(A) for symmetric positive definite A, or None when A is not PD.
+def cholesky_logdet(a: np.ndarray) -> np.ndarray:
+    """ln det(A) for each symmetric matrix of a stack ``(..., k, k)``, NaN
+    where it is not positive definite, as an array of shape ``a.shape[:-2]``
+    (0-d for one matrix).
 
     The non-PD outcome is a value, not an error: callers in the density code
-    map it to a zero-density sentinel.  A stack ``(..., k, k)`` returns the
-    log determinants, NaN where not PD; it is one call while every member is
-    PD, else the failed call is followed by one call per member.
+    map it to a zero-density sentinel.  It is one Cholesky call while every
+    member is PD, else the failed call is followed by one call per member.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
@@ -105,15 +100,13 @@ def cholesky_logdet(a: np.ndarray) -> float | None | np.ndarray:
         chol = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         if len(stack) == 1:  # the one member has just failed: factor it only once
-            return None if a.ndim == 2 else np.full(a.shape[:-2], np.nan)
+            return np.full(a.shape[:-2], np.nan)
         chol = np.full_like(stack, np.nan)  # then one member at a time, NaN where it fails
         for i in range(len(stack)):
             with contextlib.suppress(np.linalg.LinAlgError):
                 chol[i] = np.linalg.cholesky(stack[i])
     # pivots are positive or NaN, so a non-finite sum means not PD
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    if a.ndim == 2:
-        return float(logdet[0]) if math.isfinite(logdet[0]) else None
     return np.where(np.isfinite(logdet), logdet, np.nan).reshape(a.shape[:-2])
 
 

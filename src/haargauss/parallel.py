@@ -46,17 +46,17 @@ def replicate_map(
     The outputs are stacked in blocks of at most ``BLOCK_BYTES`` (at least one
     output) and ``batch`` maps each block to one value per member, so a
     ``batch`` that treats members independently makes the result independent
-    of the block size.  The streams share one generator re-keyed per replicate
-    (:meth:`RngStream.rekeyed`), drawing exactly what fresh streams would.
+    of the block size.  One stream is re-keyed to each index in turn
+    (:meth:`RngStream.rekey`), drawing exactly what fresh streams would.
     ``threads`` is checked and otherwise ignored.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     thread_count(threads)
-    generator = RngStream(master_seed).generator
+    stream = RngStream(master_seed)
     values, block, size = [], [], 0
     for index in range(replicates):
-        block.append(fn(RngStream(master_seed, index).rekeyed(generator), index))
+        block.append(fn(stream.rekey(index), index))
         size = size or max(1, BLOCK_BYTES // max(1, np.asarray(block[0]).nbytes))  # outputs per block
         if len(block) == size or index == replicates - 1:
             stack, block = np.array(block), []  # the draws are freed before batch runs

@@ -129,6 +129,12 @@ class TestParseConfig:
         assert cfg.figure_grid is True
         assert cfg.master_seed == 2**64 - 6
 
+    def test_largest_n_accepted(self, tmp_path):
+        # the samplers count rows in int64, so n = 2^63 - 1 is the largest n
+        cfg = parse_config(["sample", "--n", str(2**63 - 1), "--p", "2", "--q", "2",
+                            "--output-dir", str(tmp_path)])
+        assert [(d.n, d.p, d.q) for d in cfg.grid] == [(2**63 - 1, 2, 2)]
+
 
 class TestMainExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -149,9 +155,13 @@ class TestMainExitCodes:
         ("clt", {}, ["--figure-grid"]),
         ("distance", {"figure_grid": True}, []),
         ("distance", {}, ["--threads", "0"]),
+        ("distance", {"grid": [{"n": 2**63, "p": 2, "q": 2}]}, ["--kind", "kl", "-N", "4"]),
+        ("coupling", {}, ["--n", str(2**63 + 2), "--p", "2", "--q", "2", "-N", "4"]),
+        ("sample", {}, ["--n", str(2**64), "--p", "2", "--q", "2", "--kind", "haar"]),
     ], ids=["grid-int", "seed-2^64", "N-1", "replicates-float", "clt-p-1", "p-without-q",
             "pq-without-n", "figure-grid-with-flags", "figure-grid-with-config-grid",
-            "figure-grid-on-distance", "threads-0"])
+            "figure-grid-on-distance", "threads-0", "distance-n-2^63", "coupling-n-2^63+2",
+            "sample-n-2^64"])
     def test_bad_input_is_2_without_a_run(self, tmp_path, capsys, command, payload, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": [{"n": 60, "p": 3, "q": 2}], **payload}))
@@ -250,7 +260,7 @@ class TestDistanceCommand:
         import haargauss.distances as distances
 
         # every corner sample now lands outside the support: the KL abort
-        monkeypatch.setattr(distances, "log_ln", lambda point, d: float("-inf"))
+        monkeypatch.setattr(distances, "log_ln", lambda z, d: np.full(z.shape[:-2], -np.inf))
         code = main(["distance", "--n", "60", "--p", "3", "--q", "2", "--kind", "kl",
                      "-N", "10", "--output-dir", str(tmp_path)])
         assert code == 1
@@ -258,10 +268,10 @@ class TestDistanceCommand:
         assert lines[1:] == ["60,3,2,kl,10,0,,,FAIL"]
         assert "support" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_c_n_is_not_an_invalid_product(self, tmp_path):
-        # at n = p + q + 1, c_n = 0 multiplies the log det of every block, so
-        # blocks outside the support must be masked out before the product
+        # at n = p + q + 1, c_n = 0 multiplies the log det of every block, NaN
+        # for a block outside the support; the suite makes any RuntimeWarning
+        # an error
         code = main(["distance", "--n", "12", "--p", "5", "--q", "6", "-N", "300", "--kind", "all",
                      "--output-dir", str(tmp_path)])
         assert code == 0

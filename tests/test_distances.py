@@ -1,17 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 
 from haargauss import (
     Dims,
     DistanceKind,
     EstimateWithError,
+    RngStream,
     UnsupportedRegimeError,
     estimate_hellinger,
     estimate_kl,
     estimate_tv,
     hellinger_sq_limit,
     kl_limit,
+    log_kn_exact,
+    log_ln,
+    sample_haar_submatrix,
     tv_limit_lower_bound,
 )
 
@@ -107,9 +112,22 @@ class TestEstimateContracts:
         # a corner sample outside the support is a bug, not a data point
         import haargauss.distances as distances_module
 
-        monkeypatch.setattr(distances_module, "log_ln", lambda *_: float("-inf"))
+        monkeypatch.setattr(distances_module, "log_ln", lambda z, d: np.full(z.shape[:-2], -np.inf))
         with pytest.raises(RuntimeError, match="support"):
             estimate_kl(Dims(50, 3, 2), 10, 0)
+
+    @pytest.mark.parametrize("first", [0, 4, 9])
+    def test_kl_abort_names_the_first_corner_outside(self, monkeypatch, first):
+        import haargauss.distances as distances_module
+
+        # every member from ``first`` on is outside; the ten corners make one stack
+        monkeypatch.setattr(distances_module, "log_ln",
+                            lambda z, d: np.where(np.arange(len(z)) >= first, -np.inf, 0.0))
+        d = Dims(50, 3, 2)
+        corner = math.sqrt(d.n) * sample_haar_submatrix(d, RngStream(6, first))
+        with pytest.raises(RuntimeError, match="support") as exc:
+            estimate_kl(d, 10, 6)
+        assert f"replicate={first}, max|entry|={np.max(np.abs(corner)):.6e})" in str(exc.value)
 
 
 class TestDeterminism:
@@ -187,3 +205,13 @@ class TestKlOracle:
         d = Dims(n, p, q)
         est = estimate_kl(d, replicates, 130)
         assert_within_se(est.mean, exact_kl(n, p, q), est.std_error, k=4, label=f"KL at {d}")
+
+    # (1024, 32, 32) corners take 8 KiB, so 20 of them span three 64 KiB stacks
+    @pytest.mark.parametrize("n, p, q", [(1024, 32, 32), (60, 3, 20)])
+    def test_batch_equals_one_corner_at_a_time(self, n, p, q):
+        d = Dims(n, p, q)
+        single = np.array([log_kn_exact(d) + log_ln(math.sqrt(n) * sample_haar_submatrix(d, RngStream(9, i)), d)
+                           for i in range(20)])
+        est = estimate_kl(d, 20, 9)
+        assert est.mean == float(np.mean(single))
+        assert est.std_error == float(np.std(single, ddof=1) / math.sqrt(20))
