@@ -135,10 +135,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: Path) -> dict:
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
+    try:
+        payload = json.loads(text)
     except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -161,6 +163,9 @@ def _grid_from_payload(raw: list, command: Command) -> list[Dims]:
     for item in raw:
         if not isinstance(item, dict):
             raise ConfigError(f"grid entries must be objects, got {item!r}")
+        unknown = set(item) - {"n", "p", "q"}
+        if unknown:
+            raise ConfigError(f"unknown grid entry keys: {sorted(unknown)}")
         if "p" not in item or "q" not in item or ("n" not in item and not command.pq_grid):
             raise ConfigError(f"a grid point needs p, q and (except for clt) n, got {item!r}")
         p = _strict_int("grid entry p", item["p"])
@@ -415,58 +420,49 @@ def _cmd_clt(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:
         yield row, _histogram_artifacts(run_dir, f"clt-hist-{g_index}", samples, Overlay("normal"))
 
 
+# Each identity that ``verify`` checks equates two rational functions of
+# the matrix order n. With D(n) = (n-2)(n-1)n(n+2)(n+4), D(n) times either
+# side is an integer polynomial in n of degree at most 6 (the test suite
+# guards this bound), so two sides that agree at 7 orders n >= 3 agree at
+# every n >= 3. CERTIFIED_N holds 9 such orders, 3 to 11; n = 2, where
+# D(2) = 0, is a case of its own.
+CERTIFIED_N = range(2, 12)
+
+_DIRICHLET_PAIRS = ((MonomialPattern.G11_SQ, (1,)), (MonomialPattern.G11_4, (2,)),
+                    (MonomialPattern.TRIPLE_COL, (1, 1, 1)), (MonomialPattern.G11SQ_G21SQ, (1, 1)),
+                    (MonomialPattern.G11_4_G21SQ, (2, 1)))
+
+# per identity: its name, its smallest n and its two sides as functions of
+# n, which call through the ``moments`` module attribute at call time
+_IDENTITIES: tuple[tuple[str, int, Callable, Callable], ...] = (
+    ("row_normalization", 2,
+     lambda n: n * moments.entry_monomial_moment(MonomialPattern.G11_SQ, n), lambda n: 1),
+    ("fourth_moment_sum_rule", 2,
+     lambda n: moments.entry_monomial_moment(MonomialPattern.G11_4, n)
+     + (n - 1) * moments.entry_monomial_moment(MonomialPattern.G11SQ_G12SQ, n),
+     lambda n: moments.entry_monomial_moment(MonomialPattern.G11_SQ, n)),
+    ("orthogonality_sum_rule", 2,
+     lambda n: n * moments.entry_monomial_moment(MonomialPattern.G11SQ_G12SQ, n)
+     + n * (n - 1) * moments.entry_monomial_moment(MonomialPattern.CYCLE4, n),
+     lambda n: 0),
+    ("dirichlet_consistency", 3,
+     lambda n: tuple(moments.entry_monomial_moment(pattern, n) for pattern, _ in _DIRICHLET_PAIRS),
+     lambda n: tuple(moments.dirichlet_moment(n, a) for _, a in _DIRICHLET_PAIRS)),
+    ("trace_power_full_dimension", 3,
+     lambda n: tuple(moments.trace_power_moment(k, Dims(n, n, n)) for k in (2, 3)),
+     lambda n: (n, n)),
+)
+
+
 def _verify_checks() -> list[tuple[str, int, bool]]:
-    """Exact-identity suite; every comparison is rational equality.
-
-    Each check is a name, its cases and a predicate that holds on every case;
-    the predicates call through the ``moments`` module attribute at call time.
-    """
-    grid = list(range(2, 2001)) + [10**4, 10**5, 10**6]
-    dirichlet_pairs = [
-        (MonomialPattern.G11_SQ, (1,)),
-        (MonomialPattern.G11_4, (2,)),
-        (MonomialPattern.TRIPLE_COL, (1, 1, 1)),
-        (MonomialPattern.G11SQ_G21SQ, (1, 1)),
-        (MonomialPattern.G11_4_G21SQ, (2, 1)),
-    ]
-
-    def full_dimension_traces(n: int) -> bool:
-        d = Dims(n=n, p=n, q=n)
-        return moments.trace_power_moment(2, d) == n and moments.trace_power_moment(3, d) == n
-
-    table = [
-        (
-            "row_normalization",
-            range(2, 1_000_001),
-            lambda n: n * moments.entry_monomial_moment(MonomialPattern.G11_SQ, n) == 1,
-        ),
-        (
-            "fourth_moment_sum_rule",
-            grid,
-            lambda n: moments.entry_monomial_moment(MonomialPattern.G11_4, n)
-            + (n - 1) * moments.entry_monomial_moment(MonomialPattern.G11SQ_G12SQ, n)
-            == moments.entry_monomial_moment(MonomialPattern.G11_SQ, n),
-        ),
-        (
-            "orthogonality_sum_rule",
-            grid,
-            lambda n: n * moments.entry_monomial_moment(MonomialPattern.G11SQ_G12SQ, n)
-            + n * (n - 1) * moments.entry_monomial_moment(MonomialPattern.CYCLE4, n)
-            == 0,
-        ),
-        (
-            "dirichlet_consistency",
-            [
-                (n, pattern, exponents)
-                for n in list(range(3, 301)) + [10**4, 10**6]
-                for pattern, exponents in dirichlet_pairs
-            ],
-            lambda case: moments.entry_monomial_moment(case[1], case[0])
-            == moments.dirichlet_moment(case[0], case[2]),
-        ),
-        ("trace_power_full_dimension", range(3, 10_001), full_dimension_traces),
-    ]
-    return [(name, len(cases), all(map(holds, cases))) for name, cases, holds in table]
+    """Each identity's name, its number of cases (the orders of CERTIFIED_N
+    from its smallest n) and whether its two sides are equal, as exact
+    rationals, on every case."""
+    checks = []
+    for name, smallest, lhs, rhs in _IDENTITIES:
+        cases = [n for n in CERTIFIED_N if n >= smallest]
+        checks.append((name, len(cases), all(lhs(n) == rhs(n) for n in cases)))
+    return checks
 
 
 def _cmd_verify(config: ExperimentConfig, run_dir: Path, out: TextIO) -> Rows:

@@ -6,6 +6,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haargauss import load_matrix_csv
+from haargauss import MonomialPattern, cli, load_matrix_csv, moments
 from haargauss.cli import ConfigError, ExperimentConfig, main, parse_config, run
 from haargauss.reporting import (
     Histogram,
@@ -92,6 +93,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["verify", "--config", str(path), "--output-dir", str(tmp_path)])
 
+    def test_unknown_grid_entry_key_is_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": [{"n": 10, "p": 2, "q": 2, "N": 5}], "kind": "tv"}))
+        with pytest.raises(ConfigError, match="'N'"):
+            parse_config(["distance", "--config", str(path), "--output-dir", str(tmp_path)])
+
     def test_command_mismatch(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"command": "clt"}))
@@ -158,10 +165,12 @@ class TestMainExitCodes:
         ("distance", {"grid": [{"n": 2**63, "p": 2, "q": 2}]}, ["--kind", "kl", "-N", "4"]),
         ("coupling", {}, ["--n", str(2**63 + 2), "--p", "2", "--q", "2", "-N", "4"]),
         ("sample", {}, ["--n", str(2**64), "--p", "2", "--q", "2", "--kind", "haar"]),
+        ("distance", {}, ["--config", "."]),
+        ("distance", {"grid": [{"n": 10, "p": 2, "q": 2, "N": 5}], "kind": "tv"}, []),
     ], ids=["grid-int", "seed-2^64", "N-1", "replicates-float", "clt-p-1", "p-without-q",
             "pq-without-n", "figure-grid-with-flags", "figure-grid-with-config-grid",
             "figure-grid-on-distance", "threads-0", "distance-n-2^63", "coupling-n-2^63+2",
-            "sample-n-2^64"])
+            "sample-n-2^64", "config-is-a-directory", "grid-entry-unknown-key"])
     def test_bad_input_is_2_without_a_run(self, tmp_path, capsys, command, payload, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": [{"n": 60, "p": 3, "q": 2}], **payload}))
@@ -407,6 +416,106 @@ class TestVerifyCommand:
         body = (_run_dir_of(tmp_path) / "results.csv").read_text()
         assert "trace_power_full_dimension" in body
         assert "FAIL" not in body
+
+
+def _d(n: int) -> int:
+    """The common denominator that makes every verify side a polynomial."""
+    return (n - 2) * (n - 1) * n * (n + 2) * (n + 4)
+
+
+def _sides(n: int) -> list:
+    """Both sides of every verify identity at order n, tuples flattened."""
+    values = []
+    for _, _, lhs, rhs in cli._IDENTITIES:
+        for side in (lhs(n), rhs(n)):
+            values += side if isinstance(side, tuple) else [side]
+    return values
+
+
+def _within_certified_degree() -> bool:
+    """Whether D(n) times each side, at n = 3..40, is an integer whose 7th
+    finite differences vanish: a polynomial of degree at most 6."""
+    orders = range(3, 41)
+    for column in zip(*map(_sides, orders)):
+        scaled = [_d(n) * Fraction(v) for n, v in zip(orders, column)]
+        if any(v.denominator != 1 for v in scaled):
+            return False
+        for _ in range(7):
+            scaled = [b - a for a, b in zip(scaled, scaled[1:])]
+        if any(scaled):
+            return False
+    return True
+
+
+class TestVerifyCertificate:
+    def test_checks_and_cases(self):
+        assert cli._verify_checks() == [
+            ("row_normalization", 10, True),
+            ("fourth_moment_sum_rule", 10, True),
+            ("orthogonality_sum_rule", 10, True),
+            ("dirichlet_consistency", 9, True),
+            ("trace_power_full_dimension", 9, True),
+        ]
+
+    def test_degree_bound_holds(self):
+        # the premise of CERTIFIED_N: 9 orders from n = 3 prove an identity
+        # of degree at most 6 for every n >= 3
+        assert _within_certified_degree()
+
+    def test_evaluates_only_certified_orders(self, monkeypatch):
+        seen = set()
+
+        def recorded(fn, order):
+            def call(*args):
+                seen.add(order(*args))
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(moments, "entry_monomial_moment",
+                            recorded(moments.entry_monomial_moment, lambda _, n: n))
+        monkeypatch.setattr(moments, "dirichlet_moment",
+                            recorded(moments.dirichlet_moment, lambda m, _: m))
+        monkeypatch.setattr(moments, "trace_power_moment",
+                            recorded(moments.trace_power_moment, lambda _, d: d.n))
+        cli._verify_checks()
+        assert seen == set(cli.CERTIFIED_N)
+
+    def test_perturbed_entry_moment_fails(self, monkeypatch, tmp_path):
+        # E g11^4 off by 1/D(n) for n >= 3: small, and exact at n = 2
+        smallest, formula = moments._ENTRY_MOMENTS[MonomialPattern.G11_4]
+        monkeypatch.setitem(moments._ENTRY_MOMENTS, MonomialPattern.G11_4,
+                            (smallest, lambda n: formula(n) + (Fraction(1, _d(n)) if n > 2 else 0)))
+        failed = [name for name, _, ok in cli._verify_checks() if not ok]
+        assert failed == ["fourth_moment_sum_rule", "dirichlet_consistency"]
+        assert main(["verify", "--output-dir", str(tmp_path)]) == 1
+
+    def test_wrong_trace_power_term_fails(self, monkeypatch):
+        exact = moments.trace_power_moment
+
+        def wrong(k, d):
+            if k != 3:
+                return exact(k, d)
+            # the k = 3 bracket with -3 (p + q + 1) in place of -3 (p + q)
+            n, p, q = d.n, d.p, d.q
+            return exact(k, d) - Fraction(3 * p * q * (p - 1) * (q - 1),
+                                          (n - 1) * n * (n + 2) * (n + 4))
+
+        monkeypatch.setattr(moments, "trace_power_moment", wrong)
+        failed = [name for name, _, ok in cli._verify_checks() if not ok]
+        assert failed == ["trace_power_full_dimension"]
+
+    def test_degree_guard_catches_what_the_orders_miss(self, monkeypatch):
+        # a perturbation that vanishes at every order of CERTIFIED_N passes
+        # the checks, but D(n) times it has degree 11, so the guard fails
+        smallest, formula = moments._ENTRY_MOMENTS[MonomialPattern.G11_4]
+
+        def perturbed(n):
+            vanishing = math.prod(n - m for m in cli.CERTIFIED_N)
+            return formula(n) + Fraction(vanishing, (n - 1) * n * (n + 2) * (n + 4))
+
+        monkeypatch.setitem(moments._ENTRY_MOMENTS, MonomialPattern.G11_4, (smallest, perturbed))
+        assert all(ok for _, _, ok in cli._verify_checks())
+        assert not _within_certified_degree()
 
 
 class TestSvgHistogram:
