@@ -136,11 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: Path) -> dict:
     try:
-        text = path.read_text(encoding="utf-8")
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:  # missing, a directory, or unreadable
         raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
-    try:
-        payload = json.loads(text)
     except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
