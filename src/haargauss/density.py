@@ -24,6 +24,7 @@ __all__ = [
     "log_kn_exact",
     "log_kn_asymptotic",
     "log_ln",
+    "log_ln_bidiagonal",
 ]
 
 NEG_INFINITY = float("-inf")
@@ -99,3 +100,45 @@ def log_ln(z_block: np.ndarray, d: Dims) -> np.ndarray:
     # a NaN log det marks a member outside the support; NaN arithmetic raises
     # no floating-point warning, even where c_n is 0 (n = p + q + 1)
     return np.where(np.isnan(logdet), NEG_INFINITY, c_n * logdet + 0.5 * trace)
+
+
+def log_ln_bidiagonal(squares: np.ndarray, d: Dims) -> np.ndarray:
+    """:func:`log_ln` at a block whose Gram matrix has the spectrum of B'B,
+    for each member of a stack ``(..., 2q - 1)`` of squared bidiagonal entries
+    laid out as :func:`~haargauss.sampling.sample_bidiagonal` draws them, as
+    an array of shape ``squares.shape[:-1]``, in O(q) per member.
+
+    tr(z'z) is the sum of the squares.  ln det(I - B'B/n) is the sum of
+    log1p(-e_i) over the LDL' pivots 1 - e_i of the tridiagonal I - B'B/n:
+    with x_i = B_ii^2/n and y_i = B_{i,i+1}^2/n, e_1 = x_1 and
+    e_i = x_i + y_{i-1} (1 + x_{i-1}/(1 - e_{i-1})).  Each e_i is a sum of
+    non-negative terms and its log is log1p(-e_i), never the log of a rounded
+    1 - e_i, so far from the critical curve the log det keeps the relative
+    accuracy that forming I - W/n in float loses.  A pivot that is not positive (e_i >= 1)
+    puts the member outside the support, value -inf; it continues with
+    e_i = 0, so no log1p or division sees it.  A member that is not finite
+    raises ``RuntimeError``.  A stack member's value is bit for bit its value
+    on its own.
+    """
+    s = np.asarray(squares, dtype=float)
+    q = _canonical_pq(d)[1]
+    if s.ndim < 1 or s.shape[-1] != 2 * q - 1:
+        raise ValueError(f"expected a stack of {2 * q - 1} squared bidiagonal entries, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise RuntimeError(f"bidiagonal draw is not finite (dims={d})")
+    entries = np.ascontiguousarray(np.moveaxis(s, -1, 0))  # one contiguous row per entry
+    x, y = entries[:q] / d.n, entries[q:] / d.n
+    inside = np.ones(s.shape[:-1], dtype=bool)
+    # both sums run entry by entry: a numpy reduction would sum a lone member
+    # in another order than a member of a stack
+    trace, logdet = entries[0].copy(), np.zeros(s.shape[:-1])
+    e = x[0]
+    for i in range(q):
+        if i:
+            trace += entries[i] + entries[q + i - 1]
+            e = x[i] + y[i - 1] * (1.0 + x[i - 1] / (1.0 - e))
+        inside &= e < 1.0
+        e = np.where(inside, e, 0.0)
+        logdet += np.log1p(-e)
+    c_n = (d.n - d.p - d.q - 1) / 2.0
+    return np.where(inside, c_n * logdet + 0.5 * trace, NEG_INFINITY)

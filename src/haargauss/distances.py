@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .density import UnsupportedRegimeError, log_kn_exact, log_ln
+from .density import UnsupportedRegimeError, log_kn_exact, log_ln, log_ln_bidiagonal
 from .numerics import RngStream, normal_cdf
 from .parallel import replicate_map, thread_count
-from .sampling import Dims, sample_haar_submatrix
+from .sampling import Dims, sample_bidiagonal, sample_haar_submatrix
 
 __all__ = [
     "DistanceKind",
@@ -32,6 +32,10 @@ __all__ = [
     "kl_limit",
     "hellinger_sq_limit",
 ]
+
+# Gaussian-side draws per engine index: with the seed it fixes every TV and
+# Hellinger result, so it is part of the results contract
+SPECTRUM_BATCH = 256
 
 
 class DistanceKind(Enum):
@@ -72,6 +76,41 @@ class EstimateWithError:
         return math.sqrt(max(self.mean, 0.0))
 
 
+def _log_ratios(d: Dims, replicates: int, master_seed: int, kind: DistanceKind) -> np.ndarray:
+    """ln f/g at ``replicates`` draws, in draw order.
+
+    KL draws sqrt(n) times a Haar corner (law f), one per engine index.  The
+    other kinds draw from the Gaussian law g only the spectrum of z'z, which
+    is all the ratio reads: engine index b draws the ``SPECTRUM_BATCH``
+    bidiagonal models of batch b from the stream keyed ``(master_seed, b)``,
+    whole batches are drawn, and the first ``replicates`` draws are kept.  A
+    Gaussian draw may legally fall outside the support of f, with log ratio
+    -inf; a corner can only do so through a sampler or density defect (the
+    event has probability zero), so it aborts the run with diagnostics.
+    """
+    log_kn = log_kn_exact(d)
+    if kind is not DistanceKind.KL:
+        batches = -(-replicates // SPECTRUM_BATCH)
+        log_ratios = replicate_map(lambda stream, _: sample_bidiagonal(d, SPECTRUM_BATCH, stream), batches,
+                                   master_seed, batch=lambda stack: log_kn + log_ln_bidiagonal(stack, d))
+        return log_ratios.reshape(-1)[:replicates]
+    root_n = math.sqrt(d.n)
+
+    def corner(stream: RngStream, _: int) -> np.ndarray:
+        return root_n * sample_haar_submatrix(d, stream)
+
+    log_ratios = replicate_map(corner, replicates, master_seed, batch=lambda stack: log_kn + log_ln(stack, d))
+    if np.isneginf(log_ratios).any():
+        index = int(np.argmax(np.isneginf(log_ratios)))  # the first corner outside
+        top = float(np.max(np.abs(corner(RngStream(master_seed, index), index))))
+        raise RuntimeError(
+            "corner sample fell outside the density support; this indicates a "
+            f"sampler or density bug (dims={d}, seed={master_seed}, "
+            f"replicate={index}, max|entry|={top:.6e})"
+        )
+    return log_ratios
+
+
 def _estimate(
     d: Dims,
     replicates: int,
@@ -79,37 +118,16 @@ def _estimate(
     kind: DistanceKind,
     term: Callable[[np.ndarray], np.ndarray],
 ) -> EstimateWithError:
-    """Mean and standard error of ``term(log f/g)`` over replicate draws.
+    """Mean and standard error of ``term(log f/g)`` over the draws of
+    :func:`_log_ratios`.
 
-    KL draws sqrt(n) times a Haar corner (law f); the other kinds draw a
-    Gaussian p x q block (law g).  A Gaussian block may legally fall outside
-    the support of f and enters ``term`` with log ratio -inf; a corner sample
-    can only do so through a sampler or density defect (the event has
-    probability zero), so it aborts the run with diagnostics.  The Hellinger
-    kind reports one minus the mean, the squared distance.  When the per-draw
-    terms vary only at rounding level, the standard error is at most 64 eps
-    times max(1, |estimate|) and carries no information (far from the
-    critical curve every Gaussian block has a ratio that rounds to 0), and
-    ``NoDrawInSupportError`` is raised.
+    The Hellinger kind reports one minus the mean, the squared distance.
+    When the per-draw terms vary only at rounding level, the standard error
+    is at most 64 eps times max(1, |estimate|) and carries no information
+    (far from the critical curve every Gaussian draw has a ratio that rounds
+    to 0), and ``NoDrawInSupportError`` is raised.
     """
-    log_kn = log_kn_exact(d)
-    root_n = math.sqrt(d.n)
-
-    def draw(stream: RngStream, _: int) -> np.ndarray:
-        if kind is DistanceKind.KL:
-            return root_n * sample_haar_submatrix(d, stream)
-        return stream.standard_normal((d.p, d.q))
-
-    log_ratios = replicate_map(draw, replicates, master_seed, batch=lambda stack: log_kn + log_ln(stack, d))
-    if kind is DistanceKind.KL and np.isneginf(log_ratios).any():
-        index = int(np.argmax(np.isneginf(log_ratios)))  # the first corner outside
-        top = float(np.max(np.abs(draw(RngStream(master_seed, index), index))))
-        raise RuntimeError(
-            "corner sample fell outside the density support; this indicates a "
-            f"sampler or density bug (dims={d}, seed={master_seed}, "
-            f"replicate={index}, max|entry|={top:.6e})"
-        )
-    values = term(log_ratios)
+    values = term(_log_ratios(d, replicates, master_seed, kind))
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(values.size))
     if kind is DistanceKind.HELLINGER:

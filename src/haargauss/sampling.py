@@ -1,7 +1,8 @@
-"""Samplers for Gaussian matrices, Haar-orthogonal submatrices, and the
-coupled pair built by column-wise Gram-Schmidt.
+"""Samplers for Gaussian matrices, Haar-orthogonal submatrices, the coupled
+pair built by column-wise Gram-Schmidt, and the bidiagonal model of a
+Gaussian block's Gram spectrum.
 
-All of them, and the coupled Hilbert-Schmidt statistic, read one kernel.
+All but the last, and the coupled Hilbert-Schmidt statistic, read one kernel.
 Gram-Schmidt on the columns of an n x q Gaussian Y is its QR with R pinned
 to a positive diagonal, and a Haar corner is the top p rows of that Q.  As
 Y'Y = Y_top'Y_top + Y_bot'Y_bot, the n - p bottom rows may be replaced by
@@ -24,6 +25,7 @@ __all__ = [
     "sample_gaussian_matrix",
     "sample_haar_submatrix",
     "sample_coupled_pair",
+    "sample_bidiagonal",
     "gram_schmidt_coupling",
     "dump_matrix_csv",
     "load_matrix_csv",
@@ -124,6 +126,21 @@ def sample_coupled_pair(d: Dims, stream: RngStream) -> tuple[np.ndarray, np.ndar
     one probability space via Gram-Schmidt on shared Gaussian columns."""
     y_top, b = _haar_rows(d, stream)
     return y_top, _haar_factor(y_top, b)[0]
+
+
+def sample_bidiagonal(d: Dims, count: int, stream: RngStream) -> np.ndarray:
+    """``count`` independent draws of the squared entries of the upper
+    bidiagonal B whose B'B has, in law, the spectrum of the Gram matrix of a
+    p x q Gaussian block (Golub-Kahan; Silverstein 1985; Dumitriu & Edelman
+    2002), as a ``(count, 2q - 1)`` array from one ``chi_square`` call.
+
+    With p >= q after swapping the two sides, the columns are
+    B_ii^2 ~ chi^2_{p-i+1} for i = 1..q, then B_{i,i+1}^2 ~ chi^2_{q-i} for
+    i = 1..q-1.
+    """
+    p, q = max(d.p, d.q), min(d.p, d.q)
+    df = np.concatenate((p - np.arange(q), q - 1 - np.arange(q - 1)))
+    return stream.chi_square(np.broadcast_to(df, (count, 2 * q - 1)))
 
 
 def dump_matrix_csv(matrix: np.ndarray, path: str | Path) -> Path:

@@ -13,11 +13,17 @@ from haargauss import RngStream
 
 
 class NanStream(RngStream):
-    """A stream whose Gaussian draws carry one NaN, as a corrupted sampler
-    or a bad BLAS result would: every check downstream must reject it."""
+    """A stream whose Gaussian and chi-square draws each carry one NaN, as a
+    corrupted sampler or a bad BLAS result would: every check downstream must
+    reject it."""
 
     def standard_normal(self, shape):
         out = super().standard_normal(shape)
+        out.flat[0] = np.nan
+        return out
+
+    def chi_square(self, df):
+        out = np.array(super().chi_square(df), dtype=float)
         out.flat[0] = np.nan
         return out
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +15,9 @@ from haargauss import (
     log_kn_asymptotic,
     log_kn_exact,
     log_ln,
+    log_ln_bidiagonal,
     replicate_map,
+    sample_bidiagonal,
     sample_haar_submatrix,
 )
 
@@ -149,6 +152,96 @@ class TestLogLnStack:
     def test_wrong_block_shape(self):
         with pytest.raises(ValueError):
             log_ln(np.zeros((5, 3, 4)), Dims(20, 4, 3))
+
+
+def _bidiagonal_block(squares: np.ndarray, d: Dims) -> np.ndarray:
+    """A block of the Gaussian block's shape holding B at its top left and
+    zeros elsewhere, so that its Gram matrix on the smaller side is B'B or BB'."""
+    q = min(d.p, d.q)
+    z = np.zeros((d.p, d.q))
+    i = np.arange(q)
+    z[i, i] = np.sqrt(squares[:q])
+    z[i[:-1], i[1:]] = np.sqrt(squares[q:])
+    return z
+
+
+def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
+    """sup_x |F_a(x) - F_b(x)| of the two empirical CDFs (-inf is a value)."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate((a, b))
+    return float(np.max(np.abs(np.searchsorted(a, x, side="right") / a.size
+                               - np.searchsorted(b, x, side="right") / b.size)))
+
+
+class TestLogLnBidiagonal:
+    # (40, 8, 8) and (60, 20, 20) mix members in and out of the support,
+    # (60, 3, 20) has p < q, (12, 5, 6) and (9, 4, 4) have c_n = 0 (n = p + q + 1),
+    # (100, 99, 1) has q = 1 and (400, 190, 190) every member outside
+    @pytest.mark.parametrize("n, p, q", [(60, 20, 7), (40, 8, 8), (60, 20, 20), (60, 3, 20), (12, 5, 6),
+                                         (9, 4, 4), (100, 99, 1), (2000, 10, 10), (400, 190, 190)])
+    def test_equals_log_ln_of_the_bidiagonal_block(self, n, p, q):
+        d = Dims(n, p, q)
+        squares = sample_bidiagonal(d, 64, RngStream(8))
+        assert squares.shape == (64, 2 * min(p, q) - 1)
+        got = log_ln_bidiagonal(squares, d)
+        want = log_ln(np.array([_bidiagonal_block(row, d) for row in squares]), d)
+        assert got.shape == (64,)
+        assert np.array_equal(got == NEG_INFINITY, want == NEG_INFINITY)
+        inside = np.isfinite(want)
+        np.testing.assert_allclose(got[inside], want[inside], rtol=1e-10, atol=1e-10)
+        if (n, p, q) == (60, 20, 20):
+            assert inside.any() and not inside.all()
+        if (n, p, q) == (400, 190, 190):
+            assert not inside.any()
+
+    @pytest.mark.parametrize("n, p, q", [(2000, 10, 10), (1024, 32, 32), (40, 8, 8), (60, 3, 20)])
+    def test_stack_equals_members_bit_for_bit(self, n, p, q):
+        d = Dims(n, p, q)
+        squares = sample_bidiagonal(d, 60, RngStream(4)).reshape(3, 20, -1)
+        single = np.array([[log_ln_bidiagonal(member, d) for member in row] for row in squares])
+        stacked = log_ln_bidiagonal(squares, d)
+        assert stacked.shape == (3, 20) and np.array_equal(stacked, single)
+
+    # at (40, 8, 8) about 1% of the Gaussian draws fall outside the support
+    @pytest.mark.parametrize("n, p, q", [(60, 20, 7), (40, 8, 8), (60, 3, 20)])
+    def test_same_law_as_gaussian_blocks(self, n, p, q):
+        d = Dims(n, p, q)
+        draws = 20_000
+        spectra = log_ln_bidiagonal(sample_bidiagonal(d, draws, RngStream(29)), d)
+        blocks = replicate_map(lambda s, _: s.standard_normal((p, q)), draws, 290, batch=lambda z: log_ln(z, d))
+        # two-sample KS at the 1% level
+        assert _two_sample_ks(spectra, blocks) <= 1.628 * math.sqrt(2.0 / draws)
+        inside = np.isfinite(spectra).mean(), np.isfinite(blocks).mean()
+        pooled = (inside[0] + inside[1]) / 2
+        assert abs(inside[0] - inside[1]) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / draws)
+        if (n, p, q) == (40, 8, 8):
+            assert 0.95 < min(inside) and max(inside) < 1.0
+
+    @pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 10**15])
+    def test_rounding_far_from_the_curve(self, n):
+        # against the same formula in 60-digit arithmetic; forming I - W/n in
+        # float errs by about 5e-8 at n = 10^9 and 6e-2 at 10^15
+        d = Dims(n, 2, 2)
+        squares = sample_bidiagonal(d, 200, RngStream(3))
+        got = log_ln_bidiagonal(squares, d)
+        with mpmath.workdps(60):
+            for (a1, a2, b1), value in zip(squares.tolist(), got):
+                a1, a2, b1 = mpmath.mpf(a1), mpmath.mpf(a2), mpmath.mpf(b1)
+                det = (1 - a1 / n) * (1 - (a2 + b1) / n) - a1 * b1 / mpmath.mpf(n) ** 2
+                exact = mpmath.mpf(n - 5) / 2 * mpmath.log(det) + (a1 + a2 + b1) / 2
+                assert abs(value - float(exact)) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_raises(self, bad):
+        d = Dims(60, 20, 7)
+        squares = sample_bidiagonal(d, 5, RngStream(1))
+        squares[3, 2] = bad
+        with pytest.raises(RuntimeError, match="not finite"):
+            log_ln_bidiagonal(squares, d)
+
+    def test_wrong_entry_count(self):
+        with pytest.raises(ValueError):
+            log_ln_bidiagonal(np.ones((4, 7)), Dims(60, 20, 7))
 
 
 @st.composite

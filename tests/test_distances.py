@@ -145,6 +145,44 @@ class TestDeterminism:
         assert a.mean != b.mean
 
 
+class TestGaussianSide:
+    """TV and Hellinger draw the bidiagonal spectrum model, ``SPECTRUM_BATCH``
+    draws per engine index."""
+
+    @pytest.mark.parametrize("short, long", [(300, 1000), (256, 257), (2, 513)])
+    def test_a_run_is_the_prefix_of_a_longer_one(self, short, long):
+        from haargauss.distances import _log_ratios
+
+        d = Dims(60, 20, 7)
+        head = _log_ratios(d, short, 7, DistanceKind.TV)
+        assert head.shape == (short,)
+        assert np.array_equal(head, _log_ratios(d, long, 7, DistanceKind.HELLINGER)[:short])
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 24])
+    def test_block_size_is_not_a_result(self, monkeypatch, block_bytes):
+        import haargauss.parallel as parallel
+
+        # 256 draws at q = 2 take 6 KiB, so the default stacks ten batches
+        d = Dims(60, 3, 2)
+        default = estimate_tv(d, 2000, 4), estimate_hellinger(d, 2000, 4)
+        monkeypatch.setattr(parallel, "BLOCK_BYTES", block_bytes)
+        assert (estimate_tv(d, 2000, 4), estimate_hellinger(d, 2000, 4)) == default
+
+    def test_every_draw_outside_the_support(self):
+        from haargauss.distances import _log_ratios
+
+        assert np.all(_log_ratios(Dims(400, 190, 190), 80, 0, DistanceKind.TV) == -np.inf)
+
+    @pytest.mark.parametrize("n, p, q", [(9, 4, 4), (12, 5, 6), (50, 7, 1)])
+    def test_zero_c_n_and_one_column(self, n, p, q):
+        # n = p + q + 1 gives c_n = 0, where an off-support member must not
+        # make 0 * -inf; the suite makes any RuntimeWarning an error
+        d = Dims(n, p, q)
+        tv, he = estimate_tv(d, 3000, 5), estimate_hellinger(d, 3000, 5)
+        assert math.isfinite(tv.mean) and tv.mean > 0 and tv.std_error > 0
+        assert 0 < he.mean <= 1 and he.std_error > 0
+
+
 class TestEstimatorStatistics:
     def test_ranges(self):
         d = Dims(150, 6, 4)
