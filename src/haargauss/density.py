@@ -34,15 +34,9 @@ class UnsupportedRegimeError(ValueError):
     """The density formula needs p + q <= n (after swapping p and q)."""
 
 
-def _canonical_pq(d: Dims) -> tuple[int, int]:
-    """Orient the block so the Gram matrix is the smaller of the two; the
-    density is symmetric under transposing the corner."""
-    return (d.p, d.q) if d.q <= d.p else (d.q, d.p)
-
-
 def log_kn_exact(d: Dims) -> float:
     """Exact log normalizer of the likelihood ratio, via log-gamma sums."""
-    p, q = _canonical_pq(d)
+    p, q = d.canonical
     n = d.n
     if p + q > n:
         raise UnsupportedRegimeError(
@@ -60,7 +54,7 @@ def log_kn_asymptotic(d: Dims) -> float:
     Valid when the wide side p grows with n while p/n stays away from 1; the
     dropped remainder vanishes along sequences with pq = O(n).
     """
-    p, q = _canonical_pq(d)
+    p, q = d.canonical
     n = d.n
     if p >= n:
         raise ValueError(f"asymptotic normalizer needs p < n, got p={p}, n={n}")
@@ -121,7 +115,7 @@ def log_ln_bidiagonal(squares: np.ndarray, d: Dims) -> np.ndarray:
     on its own.
     """
     s = np.asarray(squares, dtype=float)
-    q = _canonical_pq(d)[1]
+    q = d.canonical[1]
     if s.ndim < 1 or s.shape[-1] != 2 * q - 1:
         raise ValueError(f"expected a stack of {2 * q - 1} squared bidiagonal entries, got shape {s.shape}")
     if not np.isfinite(s).all():

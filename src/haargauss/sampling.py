@@ -50,6 +50,12 @@ class Dims:
             raise ValueError(f"require 1 <= q <= n, got q={self.q}, n={self.n}")
 
     @property
+    def canonical(self) -> tuple[int, int]:
+        """(p, q) oriented so that q <= p, the side of the smaller Gram
+        matrix; the corner's density is symmetric under transposing it."""
+        return (self.p, self.q) if self.q <= self.p else (self.q, self.p)
+
+    @property
     def coupling_sigma(self) -> float:
         """pq^2/n, the scale parameter of the coupled Euclidean distance."""
         return self.p * self.q * self.q / self.n
@@ -138,7 +144,7 @@ def sample_bidiagonal(d: Dims, count: int, stream: RngStream) -> np.ndarray:
     B_ii^2 ~ chi^2_{p-i+1} for i = 1..q, then B_{i,i+1}^2 ~ chi^2_{q-i} for
     i = 1..q-1.
     """
-    p, q = max(d.p, d.q), min(d.p, d.q)
+    p, q = d.canonical
     df = np.concatenate((p - np.arange(q), q - 1 - np.arange(q - 1)))
     return stream.chi_square(np.broadcast_to(df, (count, 2 * q - 1)))
 
